@@ -10,7 +10,7 @@ graph decodes unchanged).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -228,7 +228,6 @@ class CodeSpec:
     repeat_factor: int = 1
     repeat_coefs: np.ndarray | None = None
     construction_seed: int | None = None
-    _bp_graph: object = dc_field(default=None, repr=False)
 
     def __post_init__(self):
         if self.repeat_coefs is None:

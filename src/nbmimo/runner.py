@@ -155,6 +155,7 @@ def run_ber(cfg: ExperimentConfig, progress=None) -> list[SweepSummary]:
                 counts = []
                 iterations = []
                 frame = 0
+                frame_errors = 0
                 while True:
                     rng = substream(cfg.master_seed, _FRAME, frame)
                     info = rng.integers(0, field.size, size=spec.k_symbols)
@@ -181,7 +182,7 @@ def run_ber(cfg: ExperimentConfig, progress=None) -> list[SweepSummary]:
                     counts.append(int(np.count_nonzero(got != want)))
                     iterations.append(res.iterations_used)
                     frame += 1
-                    frame_errors = sum(1 for c in counts if c)
+                    frame_errors += counts[-1] > 0
                     if frame_errors >= cfg.min_frame_errors:
                         stop = "frame_errors"
                         break
@@ -225,6 +226,7 @@ def run_uncoded(cfg: ExperimentConfig, progress=None) -> list[SweepSummary]:
                 )
                 counts = []
                 frame = 0
+                frame_errors = 0
                 while True:
                     rng = substream(cfg.master_seed, _UNCODED, frame)
                     labels = rng.integers(0, cfg.modulation, size=cfg.n_t)
@@ -238,7 +240,7 @@ def run_uncoded(cfg: ExperimentConfig, progress=None) -> list[SweepSummary]:
                     diff = const.labels_to_bits(hard) ^ const.labels_to_bits(labels)
                     counts.append(int(diff.sum()))
                     frame += 1
-                    frame_errors = sum(1 for c in counts if c)
+                    frame_errors += counts[-1] > 0
                     if frame_errors >= cfg.min_frame_errors:
                         stop = "frame_errors"
                         break

@@ -1,11 +1,45 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
 from nbmimo.code import SparseParityMatrix, build_code_spec, syndrome
-from nbmimo.decoder import DecodeResult, decode, fwht
+from nbmimo.decoder import (
+    DecodeResult,
+    _BpGraph,
+    _leave_one_out_product,
+    decode,
+    fwht,
+)
 from nbmimo.galois import build_field
+
+
+def butterfly_fwht(a):
+    """Reference transform: log2(q) in-place butterfly stages."""
+    out = np.array(a, dtype=np.float64, copy=True)
+    n = out.shape[-1]
+    lead = out.shape[:-1]
+    h = 1
+    while h < n:
+        out = out.reshape(lead + (n // (2 * h), 2, h))
+        x = out[..., 0, :].copy()
+        y = out[..., 1, :]
+        out[..., 0, :] = x + y
+        out[..., 1, :] = x - y
+        out = out.reshape(lead + (n,))
+        h *= 2
+    return out
+
+
+def cumprod_leave_one_out(values):
+    """Reference leave-one-out product over axis 0 from two cumprods."""
+    prefix = np.ones_like(values)
+    suffix = np.ones_like(values)
+    np.cumprod(values[:-1], axis=0, out=prefix[1:])
+    np.cumprod(values[::-1][:-1], axis=0, out=suffix[1:])
+    return prefix * suffix[::-1]
 
 
 def enumerate_codewords(matrix, field):
@@ -64,6 +98,48 @@ class TestFwht:
         via_transform = fwht(fwht(p) * fwht(q)) / 8
         assert np.allclose(conv, via_transform, atol=1e-12)
 
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_matches_butterfly_reference(self, m):
+        # 1-D, the decoder's (edges, q) and the DE's (b, d_c - 1, q) shapes.
+        q = 1 << m
+        rng = np.random.default_rng(100 + m)
+        for shape in ((q,), (37, q), (11, 3, q)):
+            a = rng.dirichlet(np.ones(q), size=shape[:-1]).reshape(shape)
+            got = fwht(a)
+            want = butterfly_fwht(a)
+            assert got.shape == shape
+            scale = np.abs(want).max()
+            assert np.abs(got - want).max() <= 1e-12 * scale
+
+    def test_rejects_length_not_power_of_two(self):
+        with pytest.raises(ValueError):
+            fwht(np.ones(12))
+
+
+class TestFastPathsEqualReference:
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_leave_one_out_bit_equal_to_cumprod(self, d):
+        rng = np.random.default_rng(200 + d)
+        values = rng.normal(size=(d, 13, 16))
+        got = _leave_one_out_product(values)
+        assert np.array_equal(got, cumprod_leave_one_out(values))
+        for j in range(d):
+            want = np.prod(np.delete(values, j, axis=0), axis=0)
+            assert np.allclose(got[j], want, rtol=1e-12, atol=0)
+
+    def test_flat_gathers_bit_equal_to_take_along_axis(self):
+        f = build_field(8)
+        spec = build_code_spec(60, 3, f, seed=19)
+        m = spec.matrix
+        graph = _BpGraph(m, f)
+        rng = np.random.default_rng(20)
+        msgs = rng.dirichlet(np.ones(f.size), size=m.n_edges)
+        rot_fwd = f.mul_table[m.edge_coef]
+        rot_inv = f.mul_table[f.inv_table[m.edge_coef]]
+        for flat, rot in ((graph.gather_fwd, rot_fwd), (graph.gather_inv, rot_inv)):
+            got = msgs.take(flat).reshape(msgs.shape)
+            assert np.array_equal(got, np.take_along_axis(msgs, rot, axis=1))
+
 
 class TestDecodeBasics:
     def test_noiseless_priors_converge_immediately(self):
@@ -108,6 +184,22 @@ class TestDecodeBasics:
         spec = build_code_spec(30, 3, f, seed=1)
         with pytest.raises(ValueError):
             decode(np.ones((30, 8)), spec.matrix, f, max_iterations=5)
+
+    def test_decoding_leaves_no_reference_cycle(self):
+        # The matrix caches its BP graph; with no back reference the two are
+        # freed by reference counting alone, without a garbage collection.
+        f = build_field(4)
+        rng = np.random.default_rng(21)
+        priors = rng.dirichlet(np.ones(16), size=30)
+        gc.disable()
+        try:
+            spec = build_code_spec(30, 3, f, seed=1)
+            decode(priors, spec.matrix, f, max_iterations=3)
+            matrix_ref = weakref.ref(spec.matrix)
+            del spec
+            assert matrix_ref() is None
+        finally:
+            gc.enable()
 
     def test_posteriors_returned_when_requested(self):
         f = build_field(2)
