@@ -65,7 +65,7 @@ class SparseParityMatrix:
     def n_edges(self) -> int:
         return len(self.edge_row)
 
-    def to_dense(self, field: FieldTable) -> np.ndarray:
+    def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n_checks, self.n_symbols), dtype=np.int64)
         a[self.edge_row, self.edge_col] = self.edge_coef
         return a
@@ -314,7 +314,7 @@ def build_code_spec(
     """
     for attempt in range(max_redraws):
         matrix = construct_regular(n_symbols, d_c, field, seed + 1_000_003 * attempt)
-        dense = matrix.to_dense(field)
+        dense = matrix.to_dense()
         work = dense.copy()
         rank, pivots = _reduced_row_echelon(work, field)
         if rank < matrix.n_checks:

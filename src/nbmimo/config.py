@@ -27,8 +27,9 @@ import configparser
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from nbmimo.detect import DETECTORS
+
 COMMANDS = ("ber", "uncoded", "capacity", "threshold", "flops", "ksdelta")
-DETECTORS = ("mmse", "mf-exact", "mf-simplified")
 
 
 class ConfigError(ValueError):

@@ -20,10 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
+from scipy.special import entr
 
 from nbmimo.channel import gray_constellation, sample_iid, snr_to_noise, transmit
 from nbmimo.decoder import MSG_FLOOR, fwht
-from nbmimo.detect import mf_detect, mf_sinr, mf_soft, mmse_soft, symbol_priors
+from nbmimo.detect import DETECTORS, soft_detect, symbol_priors
 from nbmimo.galois import FieldTable, build_field
 
 
@@ -66,7 +67,7 @@ class DeConfig:
             raise ValueError("step_db must be positive")
         if not 0 < self.h_stop < 1:
             raise ValueError("h_stop must lie in (0, 1)")
-        if self.detector not in ("mmse", "mf-exact", "mf-simplified"):
+        if self.detector not in DETECTORS:
             raise ValueError(f"unknown detector {self.detector!r}")
         if self.field is None:
             self.field = build_field(self.m)
@@ -84,18 +85,19 @@ class DeResult:
 def ensemble_entropy(ensemble: np.ndarray, field: FieldTable) -> float:
     """Average Shannon entropy in base 2^m; 0 log 0 reads as 0."""
     p = np.asarray(ensemble, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0, p * np.log2(np.maximum(p, 1e-300)), 0.0)
-    return float(-terms.sum(axis=1).mean() / field.m)
+    return float(entr(p).sum(axis=1).mean() / (np.log(2) * field.m))
 
 
 def _channel_prior_samples(cfg: DeConfig, n: int, rng: np.random.Generator) -> np.ndarray:
     """n independent raw symbol priors from the equivalent channel.
 
     Transmits the zero codeword: every antenna carries the label-0 point.
-    Each channel use yields n_t/q coded-symbol priors.  Matched-filter
-    detection is batched over channel uses, which keeps the per-iteration
-    cost of large ensembles dominated by Gaussian sampling.
+    Each channel use yields n_t/q coded-symbol priors.  MMSE detects one
+    use at a time.  For the matched-filter kinds one `soft_detect` call
+    takes a whole batch of uses on its leading axis, which keeps the
+    per-iteration cost of large ensembles dominated by Gaussian sampling;
+    their fading and noise are drawn in single precision, as the detector
+    statistics are far above float32 resolution.
     """
     field = cfg.field
     q = field.m  # BPSK: one bit per modulated symbol
@@ -103,59 +105,32 @@ def _channel_prior_samples(cfg: DeConfig, n: int, rng: np.random.Generator) -> n
     const = gray_constellation(2, symbol_energy=cfg.es / cfg.n_t)
     sigma2_n = snr_to_noise(cfg.gamma0_db, cfg.es)
     point0 = const.points[0]
-    out = np.empty((n, field.size))
-    done = 0
-
-    if cfg.detector == "mmse":
-        s = np.full(cfg.n_t, point0)
-        while done < n:
-            h = sample_iid(cfg.n_t, cfg.n_r, rng)
-            y = transmit(h, s, sigma2_n, rng)
-            _, block = mmse_soft(h, y, cfg.es, cfg.n_t, 2 * sigma2_n, const)
-            priors = symbol_priors(block, field)
-            take = min(per_use, n - done)
-            out[done : done + take] = priors[:take]
-            done += take
-        return out
-
-    # Matched-filter fast path.  Fading and noise are drawn in single
-    # precision: the detector statistics are far above float32 resolution
-    # and sampling dominates the iteration cost at production ensembles.
-    mode = "exact" if cfg.detector == "mf-exact" else "simplified"
+    s = np.full(cfg.n_t, point0)
     uses_left = -(-n // per_use)
     max_batch = max(1, (1 << 24) // (cfg.n_t * cfg.n_r))
     noise_scale = np.float32(np.sqrt(sigma2_n))
     half = np.float32(np.sqrt(2) / 2)
-    sigma2_simplified = sigma2_n / cfg.n_r
+    out = np.empty((n, field.size))
+    done = 0
     while done < n:
-        b = min(max_batch, uses_left)
-        uses_left -= b
-        shape = (b, cfg.n_r, cfg.n_t)
-        h = np.empty(shape, dtype=np.complex64)
-        h.real = rng.standard_normal(shape, dtype=np.float32) * half
-        h.imag = rng.standard_normal(shape, dtype=np.float32) * half
-        # All antennas send the identical zero-symbol point.
-        y = np.complex64(point0) * h.sum(axis=2)
-        if sigma2_n > 0:
-            y.real += noise_scale * rng.standard_normal((b, cfg.n_r), dtype=np.float32)
-            y.imag += noise_scale * rng.standard_normal((b, cfg.n_r), dtype=np.float32)
-        proj = np.einsum("bij,bi->bj", h.conj(), y).astype(np.complex128)
-        if mode == "exact":
-            norms = np.real(np.einsum("bij,bij->bj", h.conj(), h)).astype(np.float64)
-            s_hat = proj / norms
-            sigma2_k = np.empty((b, cfg.n_t))
-            for i in range(b):
-                _, delta, _ = mf_sinr(
-                    h[i].astype(np.complex128), None, cfg.es, cfg.n_t,
-                    sigma2_n, mode="exact",
-                )
-                sigma2_k[i] = delta / 2.0
-            block = mf_soft(s_hat.reshape(-1), sigma2_k.reshape(-1), const)
+        if cfg.detector == "mmse":
+            h = sample_iid(cfg.n_t, cfg.n_r, rng)
+            y = transmit(h, s, sigma2_n, rng)
         else:
-            s_hat = proj / cfg.n_r
-            block = mf_soft(s_hat.reshape(-1), sigma2_simplified, const)
-        priors = symbol_priors(block, field)
-        take = min(b * per_use, n - done)
+            b = min(max_batch, uses_left)
+            uses_left -= b
+            shape = (b, cfg.n_r, cfg.n_t)
+            h = np.empty(shape, dtype=np.complex64)
+            h.real = rng.standard_normal(shape, dtype=np.float32) * half
+            h.imag = rng.standard_normal(shape, dtype=np.float32) * half
+            # All antennas send the identical zero-symbol point.
+            y = np.complex64(point0) * h.sum(axis=2)
+            if sigma2_n > 0:
+                y.real += noise_scale * rng.standard_normal((b, cfg.n_r), dtype=np.float32)
+                y.imag += noise_scale * rng.standard_normal((b, cfg.n_r), dtype=np.float32)
+        block = soft_detect(cfg.detector, h, y, sigma2_n, const, cfg.es)
+        priors = symbol_priors(block.reshape(-1, const.size), field)
+        take = min(len(priors), n - done)
         out[done : done + take] = priors[:take]
         done += take
     return out

@@ -16,6 +16,12 @@ Two detector families are provided:
   itself (`mf_interference_samples` draws it); Delta_k, being a power, is
   positive and skewed.
 
+`soft_detect` maps a detector kind (one of `DETECTORS`) to its per-stream
+likelihood rows; every consumer (coded and uncoded sweeps, density
+evolution) detects through it.  The matched-filter functions take leading
+batch axes, h of shape (..., N_r, N_t) and y of shape (..., N_r), and give
+the same bits as one call per channel use; MMSE detects one use at a time.
+
 Per-stream likelihood tables are aggregated into GF(2^m) symbol priors by
 multiplying the q per-stream likelihoods selected by each symbol's bit
 representation.
@@ -31,6 +37,7 @@ from scipy.linalg import cho_factor, cho_solve
 from nbmimo.galois import FieldTable
 
 VAR_FLOOR = 1e-15
+DETECTORS = ("mmse", "mf-exact", "mf-simplified")
 
 
 @dataclass
@@ -64,7 +71,6 @@ def mmse_soft(
     n_t: int,
     n0: float,
     constellation,
-    weights: np.ndarray | None = None,
 ) -> tuple[StreamEstimates, np.ndarray]:
     """MMSE estimates and the per-stream likelihood table Pr(s_hat_k | s).
 
@@ -72,7 +78,7 @@ def mmse_soft(
     the constellation; it is computed in the log domain with max
     subtraction so the normalization is exact.
     """
-    w = mmse_weights(h, es, n_t, n0) if weights is None else weights
+    w = mmse_weights(h, es, n_t, n0)
     s_hat = w.conj().T @ y
     mu = np.real(np.sum(w.conj() * h, axis=0))
     var = (es / n_t) * (mu - mu**2)
@@ -85,17 +91,17 @@ def mmse_soft(
 
 
 def _normalize_rows(log_lik: np.ndarray) -> np.ndarray:
-    log_lik = log_lik - log_lik.max(axis=1, keepdims=True)
+    log_lik = log_lik - log_lik.max(axis=-1, keepdims=True)
     lik = np.exp(log_lik)
-    return lik / lik.sum(axis=1, keepdims=True)
+    return lik / lik.sum(axis=-1, keepdims=True)
 
 
 def mf_detect(h: np.ndarray, y: np.ndarray, mode: str = "simplified") -> np.ndarray:
     """Matched-filter estimates; `mode` picks the exact or 1/N_r weights."""
-    n_r = h.shape[0]
-    proj = h.conj().T @ y
+    n_r = h.shape[-2]
+    proj = (h.conj().swapaxes(-1, -2) @ y[..., None])[..., 0]
     if mode == "exact":
-        norms = np.real(np.sum(h.conj() * h, axis=0))
+        norms = np.real(np.sum(h.conj() * h, axis=-2))
         if np.any(norms == 0):
             raise ValueError("channel has a zero column")
         return proj / norms
@@ -106,44 +112,28 @@ def mf_detect(h: np.ndarray, y: np.ndarray, mode: str = "simplified") -> np.ndar
 
 def mf_sinr(
     h: np.ndarray,
-    k: int | None,
     es: float,
     n_t: int,
     sigma2_n: float,
     mode: str = "simplified",
 ):
-    """(delta_k, Delta_k, sigma2_k) for stream k, or arrays for all streams.
+    """(delta_k, Delta_k, sigma2_k), each an array over the streams of h.
 
     Exact mode evaluates
     Delta_k = (E_s/N_t) sum_{i != k} |W_k H_i|^2 + 2 sigma_n^2 |W_k|^2
     with W_k = H_k^H / (H_k^H H_k).  Simplified mode returns the
     precomputed constant Delta = 2 sigma_n^2 / N_r for every stream.
     """
-    n_r = h.shape[0]
     if mode == "simplified":
-        big_delta = 2.0 * sigma2_n / n_r
-        delta = (es / n_t) / big_delta
-        sigma2_k = big_delta / 2.0
-        if k is None:
-            ones = np.ones(h.shape[1])
-            return delta * ones, big_delta * ones, sigma2_k * ones
-        return delta, big_delta, sigma2_k
-    if mode != "exact":
-        raise ValueError(f"unknown matched-filter mode {mode!r}")
-
-    if k is None:
-        g = h.conj().T @ h
-        gk = np.real(np.diag(g))
-        interference = (np.abs(g) ** 2).sum(axis=1) - gk**2
+        n_r = h.shape[-2]
+        big_delta = np.full(h.shape[:-2] + h.shape[-1:], 2.0 * sigma2_n / n_r)
+    elif mode == "exact":
+        g = h.conj().swapaxes(-1, -2) @ h
+        gk = np.real(np.diagonal(g, axis1=-2, axis2=-1))
+        interference = (np.abs(g) ** 2).sum(axis=-1) - gk**2
         big_delta = (es / n_t) * interference / gk**2 + 2.0 * sigma2_n / gk
     else:
-        col = h[:, k]
-        gk = float(np.real(col.conj() @ col))
-        if gk == 0:
-            raise ValueError("channel has a zero column")
-        cross = col.conj() @ h
-        interference = float((np.abs(cross) ** 2).sum() - gk**2)
-        big_delta = (es / n_t) * interference / gk**2 + 2.0 * sigma2_n / gk
+        raise ValueError(f"unknown matched-filter mode {mode!r}")
     delta = (es / n_t) / big_delta
     return delta, big_delta, big_delta / 2.0
 
@@ -151,9 +141,35 @@ def mf_sinr(
 def mf_soft(s_hat: np.ndarray, sigma2_k, constellation) -> np.ndarray:
     """Gaussian likelihood rows exp(-|s_hat - s|^2 / (2 sigma_k^2)), normalized."""
     sigma2_k = np.maximum(np.broadcast_to(sigma2_k, s_hat.shape).astype(float), VAR_FLOOR)
-    diff = s_hat[:, None] - constellation.points[None, :]
-    log_lik = -(np.abs(diff) ** 2) / (2.0 * sigma2_k[:, None])
+    diff = s_hat[..., None] - constellation.points
+    log_lik = -(np.abs(diff) ** 2) / (2.0 * sigma2_k[..., None])
     return _normalize_rows(log_lik)
+
+
+def soft_detect(
+    kind: str,
+    h: np.ndarray,
+    y: np.ndarray,
+    sigma2_n: float,
+    constellation,
+    es: float = 1.0,
+) -> np.ndarray:
+    """Per-stream likelihood rows Pr(s_hat_k | s) of one detector kind.
+
+    `sigma2_n` is the noise variance per real component.  The rows have
+    shape (..., N_t, M); the matched-filter kinds take leading batch axes,
+    MMSE one channel use (a 2-D h).
+    """
+    if kind not in DETECTORS:
+        raise ValueError(f"unknown detector {kind!r}")
+    n_t = h.shape[-1]
+    if kind == "mmse":
+        _, block = mmse_soft(h, y, es, n_t, 2 * sigma2_n, constellation)
+        return block
+    mode = kind.removeprefix("mf-")
+    s_hat = mf_detect(h, y, mode=mode)
+    _, _, sigma2_k = mf_sinr(h, es, n_t, sigma2_n, mode=mode)
+    return mf_soft(s_hat, sigma2_k, constellation)
 
 
 class MultiplyCounter:
@@ -198,34 +214,6 @@ def symbol_priors(
     if counter is not None:
         counter.real_multiplications += n_symbols * (q - 1) * field.size
     return priors / priors.sum(axis=1, keepdims=True)
-
-
-def delta_samples(
-    n_t: int,
-    n_r: int,
-    gamma_db: float,
-    n_samples: int,
-    rng: np.random.Generator,
-    es: float = 1.0,
-    stream: int = 0,
-    batch: int = 64,
-) -> np.ndarray:
-    """Draws of the exact-mode Delta statistic over channel realizations."""
-    from nbmimo.channel import sample_iid, snr_to_noise
-
-    sigma2_n = snr_to_noise(gamma_db, es)
-    out = np.empty(n_samples)
-    done = 0
-    while done < n_samples:
-        b = min(batch, n_samples - done)
-        h = np.stack([sample_iid(n_t, n_r, rng) for _ in range(b)])
-        col = h[:, :, stream]
-        gk = np.real(np.einsum("bi,bi->b", col.conj(), col))
-        cross = np.einsum("bi,bij->bj", col.conj(), h)
-        interference = (np.abs(cross) ** 2).sum(axis=1) - gk**2
-        out[done : done + b] = (es / n_t) * interference / gk**2 + 2 * sigma2_n / gk
-        done += b
-    return out
 
 
 def mf_interference_samples(

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, fields
-from fractions import Fraction
 
 import numpy as np
 from scipy import stats
@@ -28,6 +27,7 @@ from nbmimo.channel import (
     perturb_estimate,
     sample_iid,
     snr_to_noise,
+    spectral_efficiency,
     transmit,
 )
 from nbmimo.code import build_code_spec, lower_rate
@@ -35,14 +35,7 @@ from nbmimo.complexity import flops_mmse, flops_proposed
 from nbmimo.config import ExperimentConfig
 from nbmimo.de import DeConfig, find_threshold
 from nbmimo.decoder import decode
-from nbmimo.detect import (
-    mf_detect,
-    mf_interference_samples,
-    mf_sinr,
-    mf_soft,
-    mmse_soft,
-    symbol_priors,
-)
+from nbmimo.detect import mf_interference_samples, soft_detect, symbol_priors
 from nbmimo.galois import build_field
 
 # Purpose tags keep per-frame streams disjoint across run types.
@@ -83,38 +76,6 @@ def _point_flops(kind: str, n_r: int, m_points: int) -> tuple[int, int]:
     return flops_proposed(n_r, m_points)
 
 
-class _SoftDetector:
-    """Per-use soft detection closure for a configured detector kind."""
-
-    def __init__(self, kind: str, es: float, n_t: int, n_r: int, sigma2_n: float,
-                 constellation):
-        self.kind = kind
-        self.es = es
-        self.n_t = n_t
-        self.sigma2_n = sigma2_n
-        self.constellation = constellation
-        if kind == "mf-simplified":
-            _, _, self.sigma2_k = mf_sinr(
-                np.empty((n_r, n_t)), 0, es, n_t, sigma2_n, mode="simplified"
-            )
-
-    def __call__(self, h_est: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if self.kind == "mmse":
-            _, block = mmse_soft(
-                h_est, y, self.es, self.n_t, 2 * self.sigma2_n, self.constellation
-            )
-            return block
-        mode = "exact" if self.kind == "mf-exact" else "simplified"
-        s_hat = mf_detect(h_est, y, mode=mode)
-        if self.kind == "mf-simplified":
-            sigma2_k = self.sigma2_k
-        else:
-            _, _, sigma2_k = mf_sinr(
-                h_est, None, self.es, self.n_t, self.sigma2_n, mode="exact"
-            )
-        return mf_soft(s_hat, sigma2_k, self.constellation)
-
-
 def _stats_from_counts(counts: np.ndarray, bits_per_frame: int):
     frames = len(counts)
     ber = counts.sum() / (bits_per_frame * frames)
@@ -130,117 +91,50 @@ def _stats_from_counts(counts: np.ndarray, bits_per_frame: int):
     return ber, ber_se, frame_errors, fer, fer_se, mean_per_fe
 
 
-def run_ber(cfg: ExperimentConfig, progress=None) -> list[SweepSummary]:
-    """Coded sweep over (detector, estimation error, SNR)."""
+def _sweep(cfg: ExperimentConfig, purpose: int, bits_per_frame: int, run_frame,
+           progress=None) -> list[SweepSummary]:
+    """Run frames at every (detector, estimation error, SNR) point until the
+    stop rule fires.
+
+    `run_frame(rng, const, link)` draws one frame's symbols from `rng`,
+    sends its transmit vectors through `link(rng, vectors)`, which returns
+    their stacked likelihood rows, and returns (bit errors, BP iterations).
+    """
     es = 1.0
-    field = build_field(cfg.m)
-    spec = build_code_spec(cfg.n_symbols, cfg.d_c, field, cfg.construction_seed)
-    if cfg.repeat_factor > 1:
-        spec = lower_rate(spec, spec.rate / cfg.repeat_factor)
     const = gray_constellation(cfg.modulation, symbol_energy=es / cfg.n_t)
     corr = None
     if cfg.rho_t > 0 or cfg.rho_r > 0:
         corr = CorrelationSpec(cfg.rho_t, cfg.rho_r, cfg.n_t, cfg.n_r)
-
-    n_tx = spec.n_transmit_symbols
-    k_bits = spec.k_bits
     out = []
     for kind in cfg.detectors:
         for sigma2_e in cfg.est_error_vars:
             for gamma_db in cfg.gamma_db:
                 sigma2_n = snr_to_noise(gamma_db, es)
-                detector = _SoftDetector(
-                    kind, es, cfg.n_t, cfg.n_r, sigma2_n, const
-                )
-                counts = []
-                iterations = []
-                frame = 0
-                frame_errors = 0
-                while True:
-                    rng = substream(cfg.master_seed, _FRAME, frame)
-                    info = rng.integers(0, field.size, size=spec.k_symbols)
-                    x = spec.encode(info)
-                    mapped = map_codeword(spec.expand(x), const, field, cfg.n_t)
+
+                def link(rng, vectors):
                     blocks = []
                     h = None
-                    for s_vec in mapped.vectors:
+                    for s_vec in vectors:
                         if h is None or cfg.fading == "per-use":
                             h = sample_iid(cfg.n_t, cfg.n_r, rng)
                             if corr is not None:
                                 h = apply_correlation(h, corr)
                             h_est = perturb_estimate(h, sigma2_e, rng)
                         y = transmit(h, s_vec, sigma2_n, rng)
-                        blocks.append(detector(h_est, y))
-                    rows = np.vstack(blocks)
-                    priors = symbol_priors(rows, field)[:n_tx]
-                    folded = spec.fold_priors(priors)
-                    res = decode(
-                        folded, spec.matrix, field, cfg.decoder_iterations
-                    )
-                    got = field.to_bits(res.hard[spec.info_cols])
-                    want = field.to_bits(info)
-                    counts.append(int(np.count_nonzero(got != want)))
-                    iterations.append(res.iterations_used)
-                    frame += 1
-                    frame_errors += counts[-1] > 0
-                    if frame_errors >= cfg.min_frame_errors:
-                        stop = "frame_errors"
-                        break
-                    if frame >= cfg.max_frames:
-                        stop = "max_frames"
-                        break
-                counts = np.array(counts)
-                ber, ber_se, fe, fer, fer_se, per_fe = _stats_from_counts(
-                    counts, k_bits
-                )
-                fl = _point_flops(kind, cfg.n_r, cfg.modulation)
-                out.append(
-                    SweepSummary(
-                        kind, gamma_db, sigma2_e, cfg.rho_t, cfg.rho_r,
-                        int(frame), int(counts.sum()), fe, ber, ber_se, fer,
-                        fer_se, float(np.mean(iterations)), per_fe, fl[0],
-                        fl[1], stop,
-                    )
-                )
-                if progress:
-                    progress(out[-1])
-    return out
+                        blocks.append(soft_detect(kind, h_est, y, sigma2_n, const, es))
+                    return np.vstack(blocks)
 
-
-def run_uncoded(cfg: ExperimentConfig, progress=None) -> list[SweepSummary]:
-    """Uncoded sweep: one frame is one channel use, hard-sliced per stream."""
-    es = 1.0
-    const = gray_constellation(cfg.modulation, symbol_energy=es / cfg.n_t)
-    corr = None
-    if cfg.rho_t > 0 or cfg.rho_r > 0:
-        corr = CorrelationSpec(cfg.rho_t, cfg.rho_r, cfg.n_t, cfg.n_r)
-    p = cfg.bits_per_point
-    bits_per_frame = p * cfg.n_t
-    out = []
-    for kind in cfg.detectors:
-        for sigma2_e in cfg.est_error_vars:
-            for gamma_db in cfg.gamma_db:
-                sigma2_n = snr_to_noise(gamma_db, es)
-                detector = _SoftDetector(
-                    kind, es, cfg.n_t, cfg.n_r, sigma2_n, const
-                )
                 counts = []
+                iterations = []
                 frame = 0
                 frame_errors = 0
                 while True:
-                    rng = substream(cfg.master_seed, _UNCODED, frame)
-                    labels = rng.integers(0, cfg.modulation, size=cfg.n_t)
-                    s = const.points[labels]
-                    h = sample_iid(cfg.n_t, cfg.n_r, rng)
-                    if corr is not None:
-                        h = apply_correlation(h, corr)
-                    h_est = perturb_estimate(h, sigma2_e, rng)
-                    y = transmit(h, s, sigma2_n, rng)
-                    hard = detector(h_est, y).argmax(axis=1)
-                    diff = const.labels_to_bits(hard) ^ const.labels_to_bits(labels)
-                    counts.append(int(diff.sum()))
+                    rng = substream(cfg.master_seed, purpose, frame)
+                    errors, iters = run_frame(rng, const, link)
+                    counts.append(errors)
+                    iterations.append(iters)
                     frame += 1
-                    frame_errors += counts[-1] > 0
+                    frame_errors += errors > 0
                     if frame_errors >= cfg.min_frame_errors:
                         stop = "frame_errors"
                         break
@@ -256,12 +150,46 @@ def run_uncoded(cfg: ExperimentConfig, progress=None) -> list[SweepSummary]:
                     SweepSummary(
                         kind, gamma_db, sigma2_e, cfg.rho_t, cfg.rho_r,
                         int(frame), int(counts.sum()), fe, ber, ber_se, fer,
-                        fer_se, 0.0, per_fe, fl[0], fl[1], stop,
+                        fer_se, float(np.mean(iterations)), per_fe, fl[0],
+                        fl[1], stop,
                     )
                 )
                 if progress:
                     progress(out[-1])
     return out
+
+
+def run_ber(cfg: ExperimentConfig, progress=None) -> list[SweepSummary]:
+    """Coded sweep over (detector, estimation error, SNR)."""
+    field = build_field(cfg.m)
+    spec = build_code_spec(cfg.n_symbols, cfg.d_c, field, cfg.construction_seed)
+    if cfg.repeat_factor > 1:
+        spec = lower_rate(spec, spec.rate / cfg.repeat_factor)
+
+    def run_frame(rng, const, link):
+        info = rng.integers(0, field.size, size=spec.k_symbols)
+        x = spec.encode(info)
+        mapped = map_codeword(spec.expand(x), const, field, cfg.n_t)
+        priors = symbol_priors(link(rng, mapped.vectors), field)
+        folded = spec.fold_priors(priors[: spec.n_transmit_symbols])
+        res = decode(folded, spec.matrix, field, cfg.decoder_iterations)
+        got = field.to_bits(res.hard[spec.info_cols])
+        want = field.to_bits(info)
+        return int(np.count_nonzero(got != want)), res.iterations_used
+
+    return _sweep(cfg, _FRAME, spec.k_bits, run_frame, progress)
+
+
+def run_uncoded(cfg: ExperimentConfig, progress=None) -> list[SweepSummary]:
+    """Uncoded sweep: one frame is one channel use, hard-sliced per stream."""
+
+    def run_frame(rng, const, link):
+        labels = rng.integers(0, cfg.modulation, size=cfg.n_t)
+        hard = link(rng, [const.points[labels]]).argmax(axis=1)
+        diff = const.labels_to_bits(hard) ^ const.labels_to_bits(labels)
+        return int(diff.sum()), 0
+
+    return _sweep(cfg, _UNCODED, cfg.bits_per_point * cfg.n_t, run_frame, progress)
 
 
 def run_capacity(cfg: ExperimentConfig) -> list[dict]:
@@ -290,7 +218,6 @@ def run_capacity(cfg: ExperimentConfig) -> list[dict]:
 
 
 def run_threshold(cfg: ExperimentConfig) -> list[dict]:
-    base_rate = Fraction(cfg.n_symbols - 2 * cfg.n_symbols // cfg.d_c, cfg.n_symbols)
     out = []
     for t, gamma0 in zip(cfg.de_repeat_factors, cfg.de_gamma0_db):
         de_cfg = DeConfig(
@@ -308,8 +235,8 @@ def run_threshold(cfg: ExperimentConfig) -> list[dict]:
             h_stop=cfg.de_h_stop,
         )
         result = find_threshold(de_cfg, seed=cfg.master_seed + t)
-        rate = base_rate / t
-        se = float(cfg.bits_per_point * rate * cfg.n_t)
+        rate = cfg.base_rate / t
+        se = spectral_efficiency(cfg.bits_per_point, rate, cfg.n_t)
         for row in result.trajectory:
             out.append(
                 {

@@ -1,4 +1,5 @@
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,6 +240,20 @@ class TestRunners:
         rows, meta = run_command(cfg)
         assert meta["fading"] == "per-frame"
         assert rows[0].frames >= 1
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestGolden:
+    """The fast `ci-small-*` presets reproduce their committed CSVs byte for
+    byte; a change that moves any of them regenerates the file and says why."""
+
+    @pytest.mark.parametrize("command", ["ber", "uncoded", "capacity", "flops", "ksdelta"])
+    def test_preset_csv_unchanged(self, command, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main([command, "--preset", f"ci-small-{command}", "--quiet", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / f"ci-small-{command}.csv").read_bytes()
 
 
 class TestCliSurface:

@@ -123,7 +123,7 @@ class TestSyndrome:
     def test_matches_dense_oracle_on_random_vectors(self):
         f = build_field(4)
         m = construct_regular(30, 3, f, seed=5)
-        dense = m.to_dense(f)
+        dense = m.to_dense()
         rng = np.random.default_rng(0)
         for _ in range(20):
             x = rng.integers(0, 16, size=30)
@@ -173,7 +173,7 @@ class TestEncoding:
         f = build_field(2)
         edges = [(0, 0, 1), (0, 1, 2), (0, 2, 3), (1, 1, 1), (1, 2, 2), (1, 3, 3)]
         m = SparseParityMatrix(2, 2, 4, edges)
-        dense = m.to_dense(f)
+        dense = m.to_dense()
         rng = np.random.default_rng(7)
         from nbmimo.code import CodeSpec, _reduced_row_echelon
 
@@ -212,7 +212,7 @@ class TestEncoding:
         f = build_field(8)
         for n, d_c, seed in [(300, 4, 101), (300, 3, 102), (300, 3, 105), (48, 3, 11)]:
             spec = build_code_spec(n, d_c, f, seed=seed)
-            dense = spec.matrix.to_dense(f)
+            dense = spec.matrix.to_dense()
             from nbmimo.code import _reduced_row_echelon
 
             rank, _ = _reduced_row_echelon(dense.copy(), f)

@@ -101,7 +101,7 @@ class TestInitialEnsemble:
             h = sample_iid(cfg.n_t, cfg.n_r, rng)
             y = transmit(h, s, sigma2, rng)
             s_hat = mf_detect(h, y, mode="simplified")
-            _, _, s2k = mf_sinr(h, None, 1.0, cfg.n_t, sigma2, mode="simplified")
+            _, _, s2k = mf_sinr(h, 1.0, cfg.n_t, sigma2, mode="simplified")
             block = mf_soft(s_hat, s2k, const)
             vals.append(symbol_priors(block, cfg.field)[:, 0])
         manual = np.concatenate(vals)

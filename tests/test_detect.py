@@ -5,14 +5,15 @@ import pytest
 
 from nbmimo.channel import gray_constellation, sample_iid, snr_to_noise, transmit
 from nbmimo.detect import (
+    DETECTORS,
     MultiplyCounter,
-    delta_samples,
     mf_detect,
     mf_interference_samples,
     mf_sinr,
     mf_soft,
     mmse_soft,
     mmse_weights,
+    soft_detect,
     symbol_priors,
 )
 from nbmimo.galois import build_field
@@ -91,7 +92,7 @@ class TestMmseSoft:
         truth = rng.integers(0, 2, n)
         s = c.points[truth]
         y = transmit(h, s, sigma2, rng)
-        est, block = mmse_soft(h, y, es, n, n0, c, weights=w)
+        est, block = mmse_soft(h, y, es, n, n0, c)
 
         k = 0
         # s_hat_k = w_k^H(H s + n): complex Gaussian with variance
@@ -155,44 +156,53 @@ class TestMfSinr:
         n = 4
         h = np.sqrt(n / 2) * (np.eye(n) + 1j * np.eye(n))
         sigma2 = 0.3
-        _, exact, _ = mf_sinr(h, 0, es=1.0, n_t=n, sigma2_n=sigma2, mode="exact")
-        _, simple, _ = mf_sinr(h, 0, es=1.0, n_t=n, sigma2_n=sigma2, mode="simplified")
-        assert exact == pytest.approx(simple, abs=1e-12)
-        assert simple == pytest.approx(2 * sigma2 / n)
+        _, exact, _ = mf_sinr(h, es=1.0, n_t=n, sigma2_n=sigma2, mode="exact")
+        _, simple, _ = mf_sinr(h, es=1.0, n_t=n, sigma2_n=sigma2, mode="simplified")
+        assert np.allclose(exact, simple, atol=1e-12)
+        assert np.allclose(simple, 2 * sigma2 / n)
 
     def test_exact_matches_bruteforce_sum(self):
         rng = np.random.default_rng(6)
         n = 8
         h = sample_iid(n, n, rng)
         es, sigma2 = 1.0, 0.2
+        _, got, sk = mf_sinr(h, es, n, sigma2, mode="exact")
+        assert got.shape == sk.shape == (n,)
         for k in [0, 3, 7]:
-            _, got, sk = mf_sinr(h, k, es, n, sigma2, mode="exact")
             wk = h[:, k].conj() / np.real(h[:, k].conj() @ h[:, k])
             inter = sum(
                 np.abs(wk @ h[:, i]) ** 2 for i in range(n) if i != k
             )
             want = (es / n) * inter + 2 * sigma2 * np.real(wk @ wk.conj())
-            assert abs(got - want) < 1e-12
-            assert sk == pytest.approx(got / 2)
+            assert abs(got[k] - want) < 1e-12
+            assert sk[k] == pytest.approx(got[k] / 2)
 
     def test_vectorized_matches_scalar(self):
+        # Stream by stream from one column's cross products with H.
         rng = np.random.default_rng(7)
         h = sample_iid(6, 6, rng)
-        _, all_delta, _ = mf_sinr(h, None, 1.0, 6, 0.1, mode="exact")
+        es, n_t, sigma2 = 1.0, 6, 0.1
+        delta, all_delta, sk = mf_sinr(h, es, n_t, sigma2, mode="exact")
         for k in range(6):
-            _, dk, _ = mf_sinr(h, k, 1.0, 6, 0.1, mode="exact")
+            col = h[:, k]
+            gk = float(np.real(col.conj() @ col))
+            interference = float((np.abs(col.conj() @ h) ** 2).sum() - gk**2)
+            dk = (es / n_t) * interference / gk**2 + 2.0 * sigma2 / gk
             assert all_delta[k] == pytest.approx(dk, rel=1e-12)
+            assert delta[k] == pytest.approx((es / n_t) / dk, rel=1e-12)
+            assert sk[k] == all_delta[k] / 2
 
-    def test_delta_sampler_matches_direct(self):
-        rng1 = np.random.default_rng(8)
-        rng2 = np.random.default_rng(8)
-        got = delta_samples(4, 4, 0.0, 10, rng1, batch=3)
-        want = np.empty(10)
-        sigma2 = snr_to_noise(0.0)
-        for i in range(10):
-            h = sample_iid(4, 4, rng2)
-            _, want[i], _ = mf_sinr(h, 0, 1.0, 4, sigma2, mode="exact")
-        assert np.allclose(got, want, atol=1e-12)
+    def test_simplified_is_constant_over_streams(self):
+        h = np.empty((3, 5, 7), dtype=np.complex128)
+        delta, big_delta, sk = mf_sinr(h, 1.0, 7, 0.2, mode="simplified")
+        assert big_delta.shape == (3, 7)
+        assert np.all(big_delta == 2 * 0.2 / 5)
+        assert np.all(sk == big_delta / 2)
+        assert np.all(delta == (1.0 / 7) / big_delta)
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError):
+            mf_sinr(np.eye(2, dtype=np.complex128), 1.0, 2, 0.1, mode="zf")
 
     @pytest.mark.parametrize("modulation,stream", [(2, 0), (4, 2)])
     def test_interference_sampler_matches_direct(self, modulation, stream):
@@ -238,6 +248,81 @@ class TestMfSoft:
         c = gray_constellation(2)
         block = mf_soft(np.array([0.3 + 0j]), 0.25, c)
         assert block[0, 0] / block[0, 1] == pytest.approx(np.exp(2.4), rel=1e-9)
+
+
+def _stack(seed, batch, n_t, n_r, modulation, float32=False):
+    """`batch` channel uses of a (batch..., n_r, n_t) system, noisy."""
+    rng = np.random.default_rng(seed)
+    c = gray_constellation(modulation, symbol_energy=1 / n_t)
+    sigma2 = snr_to_noise(0.0)
+    h = (
+        rng.standard_normal(batch + (n_r, n_t))
+        + 1j * rng.standard_normal(batch + (n_r, n_t))
+    ) / np.sqrt(2)
+    s = c.points[rng.integers(0, modulation, size=batch + (n_t,))]
+    y = (h @ s[..., None])[..., 0] + np.sqrt(sigma2) * (
+        rng.standard_normal(batch + (n_r,)) + 1j * rng.standard_normal(batch + (n_r,))
+    )
+    if float32:
+        h, y = h.astype(np.complex64), y.astype(np.complex64)
+    return h, y, sigma2, c
+
+
+class TestBatchAxis:
+    """Stacked channel uses give the bits of one call per use."""
+
+    @pytest.mark.parametrize("float32", [False, True])
+    @pytest.mark.parametrize("mode", ["exact", "simplified"])
+    def test_mf_detect_and_sinr(self, mode, float32):
+        h, y, sigma2, _ = _stack(20, (3, 4), 8, 12, 2, float32)
+        s_hat = mf_detect(h, y, mode=mode)
+        sinr = mf_sinr(h, 1.0, 8, sigma2, mode=mode)
+        assert s_hat.shape == (3, 4, 8)
+        for i, j in itertools.product(range(3), range(4)):
+            assert np.array_equal(s_hat[i, j], mf_detect(h[i, j], y[i, j], mode=mode))
+            for got, want in zip(sinr, mf_sinr(h[i, j], 1.0, 8, sigma2, mode=mode)):
+                assert np.array_equal(got[i, j], want)
+
+    def test_mf_detect_2d_matches_transpose_product(self):
+        h, y, _, _ = _stack(21, (), 8, 12, 2)
+        assert np.array_equal(mf_detect(h, y, mode="simplified"), (h.conj().T @ y) / 12)
+
+    def test_mf_soft(self):
+        h, y, sigma2, c = _stack(22, (5,), 8, 8, 4)
+        s_hat = mf_detect(h, y, mode="exact")
+        _, _, sk = mf_sinr(h, 1.0, 8, sigma2, mode="exact")
+        rows = mf_soft(s_hat, sk, c)
+        assert rows.shape == (5, 8, 4)
+        for i in range(5):
+            assert np.array_equal(rows[i], mf_soft(s_hat[i], sk[i], c))
+
+    @pytest.mark.parametrize("kind", ["mf-exact", "mf-simplified"])
+    def test_soft_detect(self, kind):
+        h, y, sigma2, c = _stack(23, (2, 3), 8, 8, 2)
+        rows = soft_detect(kind, h, y, sigma2, c)
+        assert rows.shape == (2, 3, 8, 2)
+        for i, j in itertools.product(range(2), range(3)):
+            assert np.array_equal(rows[i, j], soft_detect(kind, h[i, j], y[i, j], sigma2, c))
+
+
+class TestSoftDetect:
+    @pytest.mark.parametrize("kind", DETECTORS)
+    def test_equals_direct_composition(self, kind):
+        h, y, sigma2, c = _stack(24, (), 8, 10, 4)
+        es = 1.0
+        if kind == "mmse":
+            _, want = mmse_soft(h, y, es, 8, 2 * sigma2, c)
+        else:
+            mode = {"mf-exact": "exact", "mf-simplified": "simplified"}[kind]
+            _, _, sk = mf_sinr(h, es, 8, sigma2, mode=mode)
+            want = mf_soft(mf_detect(h, y, mode=mode), sk, c)
+        assert np.array_equal(soft_detect(kind, h, y, sigma2, c, es), want)
+
+    @pytest.mark.parametrize("kind", ["mf_exact", "exact"])
+    def test_unknown_kind_rejected(self, kind):
+        h, y, sigma2, c = _stack(25, (), 4, 4, 2)
+        with pytest.raises(ValueError, match=f"unknown detector '{kind}'"):
+            soft_detect(kind, h, y, sigma2, c)
 
 
 class TestSymbolPriors:
@@ -326,7 +411,7 @@ class TestLowSnrAgreement:
             y = transmit(h, s, sigma2, rng)
             _, mmse_block = mmse_soft(h, y, 1.0, n, 2 * sigma2, c)
             shat = mf_detect(h, y, mode="simplified")
-            _, _, s2k = mf_sinr(h, None, 1.0, n, sigma2, mode="simplified")
+            _, _, s2k = mf_sinr(h, 1.0, n, sigma2, mode="simplified")
             mf_block = mf_soft(shat, s2k, c)
             counts_mmse.append(np.sum(mmse_block.argmax(1) != truth))
             counts_mf.append(np.sum(mf_block.argmax(1) != truth))
