@@ -11,6 +11,13 @@ average Shannon entropy, in base 2^m, tracks the remaining ambiguity; an
 SNR decodes once the entropy falls below the stopping level.  Descending
 in fixed dB steps, the threshold is the last SNR that decoded.
 
+Under the simplified matched filter the channel priors are drawn from a
+sufficient statistic: every stream's estimate h_k^H y / N_r depends on H
+only through g = sum_j h_j and y, and given (g, y) the N_t projections
+are (g/N_t)^H y plus i.i.d. CN(0, ||y||^2) draws with their mean removed.
+That holds for i.i.d. Rayleigh fading with perfect CSI, the only channel
+density evolution models; the MMSE and exact-MF kinds draw a full H.
+
 Only BPSK supports the zero-codeword trick: rotational symmetry fails for
 larger QAM alphabets, so those configurations are rejected.
 """
@@ -24,7 +31,7 @@ from scipy.special import entr
 
 from nbmimo.channel import gray_constellation, sample_iid, snr_to_noise, transmit
 from nbmimo.decoder import MSG_FLOOR, fwht
-from nbmimo.detect import DETECTORS, soft_detect, symbol_priors
+from nbmimo.detect import DETECTORS, mf_soft, soft_detect, symbol_priors
 from nbmimo.galois import FieldTable, build_field
 
 
@@ -88,16 +95,55 @@ def ensemble_entropy(ensemble: np.ndarray, field: FieldTable) -> float:
     return float(entr(p).sum(axis=1).mean() / (np.log(2) * field.m))
 
 
+def _mf_simplified_estimates(
+    n_t: int,
+    n_r: int,
+    point0: complex,
+    sigma2_n: float,
+    b: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Simplified-MF estimates s_hat = H^H y / N_r of b zero-codeword uses.
+
+    Drawn from the sufficient statistic (g, y), g = sum_j h_j, never from
+    H itself; exact in joint distribution over the N_t streams of a use
+    for i.i.d. CN(0, 1) fading (see `_channel_prior_samples`).
+    """
+    half = np.sqrt(0.5)
+    g = rng.standard_normal((b, n_r)) + 1j * rng.standard_normal((b, n_r))
+    g *= np.sqrt(n_t) * half
+    y = point0 * g
+    if sigma2_n > 0:
+        y += np.sqrt(sigma2_n) * (
+            rng.standard_normal((b, n_r)) + 1j * rng.standard_normal((b, n_r))
+        )
+    z = rng.standard_normal((b, n_t)) + 1j * rng.standard_normal((b, n_t))
+    z *= half * np.linalg.norm(y, axis=1, keepdims=True)
+    common = np.sum(g.conj() * y, axis=1, keepdims=True) / n_t
+    return (common + z - z.mean(axis=1, keepdims=True)) / n_r
+
+
 def _channel_prior_samples(cfg: DeConfig, n: int, rng: np.random.Generator) -> np.ndarray:
     """n independent raw symbol priors from the equivalent channel.
 
-    Transmits the zero codeword: every antenna carries the label-0 point.
-    Each channel use yields n_t/q coded-symbol priors.  MMSE detects one
-    use at a time.  For the matched-filter kinds one `soft_detect` call
-    takes a whole batch of uses on its leading axis, which keeps the
-    per-iteration cost of large ensembles dominated by Gaussian sampling;
-    their fading and noise are drawn in single precision, as the detector
-    statistics are far above float32 resolution.
+    Transmits the zero codeword: every antenna carries the label-0 point
+    a, so y = a g + n with g = sum_j h_j.  Each channel use yields n_t/q
+    coded-symbol priors.  MMSE detects one use at a time; exact MF takes a
+    batch of uses on the leading axis of one `soft_detect` call, with its
+    fading and noise drawn in single precision (the detector statistics
+    are far above float32 resolution).
+
+    Simplified MF needs only h_k^H y for every stream k, and never draws
+    H.  The columns h_k are i.i.d. CN(0, I_{N_r}), so g ~ CN(0, N_t I)
+    and, given g, h_k = g/N_t + (w_k - mean_j w_j) with w_k i.i.d.
+    CN(0, I) independent of g and of the noise.  Hence
+    h_k^H y = (g/N_t)^H y + z_k - mean_j z_j, where z_k = w_k^H y is,
+    given y, i.i.d. CN(0, ||y||^2) over the streams.  Drawing (g, n, z)
+    in double precision costs O(N_t + N_r) normals per use instead of
+    O(N_t N_r), and the estimates have the joint law of the full-H
+    pipeline.  The argument needs i.i.d. columns and the detector using
+    the true H: correlation, estimation error or exact-MF norms would
+    break it, but density evolution models none of them.
     """
     field = cfg.field
     q = field.m  # BPSK: one bit per modulated symbol
@@ -107,7 +153,12 @@ def _channel_prior_samples(cfg: DeConfig, n: int, rng: np.random.Generator) -> n
     point0 = const.points[0]
     s = np.full(cfg.n_t, point0)
     uses_left = -(-n // per_use)
-    max_batch = max(1, (1 << 24) // (cfg.n_t * cfg.n_r))
+    if cfg.detector == "mf-simplified":
+        # symbol_priors gathers n_t 2^m factors per use; 2^21 of them (16 MB)
+        # stay small enough for the allocator to reuse, batch after batch.
+        max_batch = max(1, (1 << 21) // (cfg.n_t * field.size))
+    else:
+        max_batch = max(1, (1 << 24) // (cfg.n_t * cfg.n_r))
     noise_scale = np.float32(np.sqrt(sigma2_n))
     half = np.float32(np.sqrt(2) / 2)
     out = np.empty((n, field.size))
@@ -116,19 +167,27 @@ def _channel_prior_samples(cfg: DeConfig, n: int, rng: np.random.Generator) -> n
         if cfg.detector == "mmse":
             h = sample_iid(cfg.n_t, cfg.n_r, rng)
             y = transmit(h, s, sigma2_n, rng)
+            block = soft_detect(cfg.detector, h, y, sigma2_n, const, cfg.es)
         else:
             b = min(max_batch, uses_left)
             uses_left -= b
-            shape = (b, cfg.n_r, cfg.n_t)
-            h = np.empty(shape, dtype=np.complex64)
-            h.real = rng.standard_normal(shape, dtype=np.float32) * half
-            h.imag = rng.standard_normal(shape, dtype=np.float32) * half
-            # All antennas send the identical zero-symbol point.
-            y = np.complex64(point0) * h.sum(axis=2)
-            if sigma2_n > 0:
-                y.real += noise_scale * rng.standard_normal((b, cfg.n_r), dtype=np.float32)
-                y.imag += noise_scale * rng.standard_normal((b, cfg.n_r), dtype=np.float32)
-        block = soft_detect(cfg.detector, h, y, sigma2_n, const, cfg.es)
+            if cfg.detector == "mf-simplified":
+                s_hat = _mf_simplified_estimates(
+                    cfg.n_t, cfg.n_r, point0, sigma2_n, b, rng
+                )
+                # mf_sinr's simplified-mode constant Delta / 2 = sigma_n^2 / N_r.
+                block = mf_soft(s_hat, sigma2_n / cfg.n_r, const)
+            else:
+                shape = (b, cfg.n_r, cfg.n_t)
+                h = np.empty(shape, dtype=np.complex64)
+                h.real = rng.standard_normal(shape, dtype=np.float32) * half
+                h.imag = rng.standard_normal(shape, dtype=np.float32) * half
+                # All antennas send the identical zero-symbol point.
+                y = np.complex64(point0) * h.sum(axis=2)
+                if sigma2_n > 0:
+                    y.real += noise_scale * rng.standard_normal((b, cfg.n_r), dtype=np.float32)
+                    y.imag += noise_scale * rng.standard_normal((b, cfg.n_r), dtype=np.float32)
+                block = soft_detect(cfg.detector, h, y, sigma2_n, const, cfg.es)
         priors = symbol_priors(block.reshape(-1, const.size), field)
         take = min(len(priors), n - done)
         out[done : done + take] = priors[:take]
@@ -173,18 +232,21 @@ def de_iterate(
 
     out = np.empty_like(ensemble)
     mt = field.mul_table
-    inv = field.inv_table
+    # Row c maps x -> c^{-1} x: the input rotation under edge coefficient c.
+    rot_in = mt[field.inv_table]
+    flat_ens = ensemble.reshape(-1)
     for lo in range(0, L, cfg.chunk):
         hi = min(lo + cfg.chunk, L)
         b = hi - lo
         idx = rng.integers(0, L, size=(b, d_in))
         coefs_in = rng.integers(1, qsize, size=(b, d_in))
         coef_out = rng.integers(1, qsize, size=b)
-        msgs = ensemble[idx]
-        rotated = np.take_along_axis(msgs, mt[inv[coefs_in]], axis=2)
+        # Flat gathers: element x of row r reads entry r * q + rot[x].
+        rotated = flat_ens[(idx * qsize)[..., None] + rot_in[coefs_in]]
         spectra = fwht(rotated).prod(axis=1)
         conv = fwht(spectra) / qsize
-        c2v = np.take_along_axis(conv, mt[coef_out], axis=1)
+        rows = np.arange(b)[:, None] * qsize
+        c2v = conv.reshape(-1)[rows + mt[coef_out]]
         c2v = np.maximum(c2v, MSG_FLOOR)
         combined = np.maximum(fresh[lo:hi] * c2v, MSG_FLOOR)
         out[lo:hi] = combined / combined.sum(axis=1, keepdims=True)

@@ -1,8 +1,14 @@
-"""Suite-wide plumbing: slow-test gating and the acceptance scoreboard."""
+"""Suite-wide plumbing: BLAS threads, slow-test gating and the acceptance scoreboard."""
 
 import os
 
-import pytest
+# One BLAS thread unless the caller chose otherwise.  The suite runs many
+# small per-use products, which multithreaded BLAS slows down, badly so on
+# a loaded machine.  Set before any test module imports numpy.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import pytest  # noqa: E402
 
 _acceptance_results = {}
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy import stats
 
+from nbmimo import de
 from nbmimo.channel import gray_constellation, sample_iid, snr_to_noise, transmit
 from nbmimo.de import (
     DeConfig,
@@ -12,7 +14,8 @@ from nbmimo.de import (
     find_threshold,
     run_point,
 )
-from nbmimo.detect import mf_detect, mf_sinr, mf_soft, symbol_priors
+from nbmimo.decoder import MSG_FLOOR, fwht
+from nbmimo.detect import mf_detect, mf_sinr, mf_soft, soft_detect, symbol_priors
 from nbmimo.galois import build_field
 
 
@@ -31,6 +34,50 @@ def small_config(**over):
     )
     base.update(over)
     return DeConfig(**base)
+
+
+def full_channel_priors(cfg, n, rng):
+    """Raw channel priors drawn through a full H per use, in the RNG order of
+    the MMSE (one use at a time) and exact-MF (float32 batches) samplers."""
+    per_use = cfg.n_t // cfg.m
+    const = gray_constellation(2, symbol_energy=cfg.es / cfg.n_t)
+    sigma2 = snr_to_noise(cfg.gamma0_db, cfg.es)
+    uses = -(-n // per_use)
+    blocks = []
+    if cfg.detector == "mmse":
+        s = np.full(cfg.n_t, const.points[0])
+        for _ in range(uses):
+            h = sample_iid(cfg.n_t, cfg.n_r, rng)
+            y = transmit(h, s, sigma2, rng)
+            blocks.append(soft_detect("mmse", h, y, sigma2, const, cfg.es))
+    else:
+        max_batch = max(1, (1 << 24) // (cfg.n_t * cfg.n_r))
+        half = np.float32(np.sqrt(2) / 2)
+        noise_scale = np.float32(np.sqrt(sigma2))
+        while uses > 0:
+            b = min(max_batch, uses)
+            uses -= b
+            shape = (b, cfg.n_r, cfg.n_t)
+            h = np.empty(shape, dtype=np.complex64)
+            h.real = rng.standard_normal(shape, dtype=np.float32) * half
+            h.imag = rng.standard_normal(shape, dtype=np.float32) * half
+            y = np.complex64(const.points[0]) * h.sum(axis=2)
+            y.real += noise_scale * rng.standard_normal((b, cfg.n_r), dtype=np.float32)
+            y.imag += noise_scale * rng.standard_normal((b, cfg.n_r), dtype=np.float32)
+            blocks.append(soft_detect(cfg.detector, h, y, sigma2, const, cfg.es))
+    block = np.concatenate([b.reshape(-1, const.size) for b in blocks])
+    return symbol_priors(block, cfg.field)[:n]
+
+
+def full_channel_mf_estimates(n_t, n_r, sigma2, uses, rng):
+    """Simplified-MF estimates of the zero codeword through a drawn H."""
+    point0 = gray_constellation(2, symbol_energy=1 / n_t).points[0]
+    s = np.full(n_t, point0)
+    out = np.empty((uses, n_t), dtype=complex)
+    for i in range(uses):
+        h = sample_iid(n_t, n_r, rng)
+        out[i] = mf_detect(h, transmit(h, s, sigma2, rng), mode="simplified")
+    return out
 
 
 class TestEntropy:
@@ -112,6 +159,63 @@ class TestInitialEnsemble:
         assert abs(ens[:, 0].mean() - manual.mean()) < 4 * se
 
 
+class TestMfSimplifiedSampler:
+    @pytest.mark.parametrize("n_t,n_r", [(16, 16), (8, 24), (24, 8)])
+    def test_stream_statistic_moments(self, n_t, n_r):
+        # x_k = Re(h_k^H y) for the zero codeword a = 1/sqrt(N_t) per
+        # antenna: E x_k = a N_r, Cov(x_k, x_l) = N_r / (2 N_t) for k != l,
+        # Var x_k = N_r (1 + s2) / N_t + N_r (1 + 2 s2)(1 - 1/N_t) / 2.
+        # Only streams 0 and 1 of each use enter, and every use is
+        # independent, so each standard error is that of an i.i.d. mean.
+        uses = 40_000
+        s2 = snr_to_noise(-2.0)
+        a = np.sqrt(1 / n_t)
+        s_hat = de._mf_simplified_estimates(
+            n_t, n_r, a, s2, uses, np.random.default_rng(21)
+        )
+        x = np.real(s_hat[:, :2]) * n_r
+        x0, x1 = x[:, 0] - a * n_r, x[:, 1] - a * n_r
+
+        def within(samples, want):
+            se = samples.std() / np.sqrt(len(samples))
+            assert abs(samples.mean() - want) < 4 * se
+
+        within(x[:, 0], a * n_r)
+        within(x0 * x1, n_r / (2 * n_t))
+        within(x0**2, n_r * (1 + s2) / n_t + n_r * (1 + 2 * s2) * (1 - 1 / n_t) / 2)
+
+    @pytest.mark.parametrize("n_t,n_r", [(16, 16), (8, 2)])
+    def test_matches_full_channel_pipeline(self, n_t, n_r):
+        # Two-sample KS tests, alpha = 0.001 each, against estimates drawn
+        # through a full H (sample_iid, transmit, mf_detect).  One value per
+        # channel use keeps the samples independent: the streams of a use
+        # are correlated, and pooling them would make the test
+        # anti-conservative.  The stream difference probes the joint law;
+        # two receive antennas leave the estimates far from Gaussian.
+        uses = 5000
+        s2 = snr_to_noise(-2.0)
+        a = np.sqrt(1 / n_t)
+        fast = de._mf_simplified_estimates(
+            n_t, n_r, a, s2, uses, np.random.default_rng(22)
+        )
+        full = full_channel_mf_estimates(n_t, n_r, s2, uses, np.random.default_rng(23))
+        for stat in (
+            lambda e: e[:, 0].real,
+            lambda e: e[:, 0].imag,
+            lambda e: (e[:, 0] - e[:, 1]).real,
+        ):
+            assert stats.ks_2samp(stat(fast), stat(full)).pvalue > 1e-3
+
+    @pytest.mark.parametrize("detector", ["mmse", "mf-exact"])
+    def test_other_detectors_keep_full_channel_draws(self, detector):
+        # Only simplified MF samples from the sufficient statistic; the
+        # other kinds draw a full H in the same RNG order as before.
+        cfg = small_config(gamma0_db=-2.0, ensemble_size=300, detector=detector)
+        ens = de_initial_ensemble(cfg, np.random.default_rng(24))
+        want = full_channel_priors(cfg, cfg.ensemble_size, np.random.default_rng(24))
+        assert np.array_equal(ens, want)
+
+
 class TestIterate:
     def test_delta_ensemble_is_fixed_point(self):
         # Check nodes map deltas to deltas; with a near-noiseless channel
@@ -130,6 +234,33 @@ class TestIterate:
         ens = np.full((256, 256), 1 / 256)
         out = de_iterate(ens, cfg, np.random.default_rng(4))
         assert ensemble_entropy(out, cfg.field) > 0.97
+
+    def test_flat_gathers_match_take_along_axis(self):
+        # de_iterate written with np.take_along_axis rotations, in the
+        # same RNG order, gives the same bits.
+        cfg = small_config(gamma0_db=1.0, ensemble_size=1500, chunk=512)
+        ens = de_initial_ensemble(cfg, np.random.default_rng(25))
+        got = de_iterate(ens, cfg, np.random.default_rng(26))
+
+        rng = np.random.default_rng(26)
+        f = cfg.field
+        L, qsize = ens.shape
+        fresh = de._fresh_samples(cfg, L, rng)
+        want = np.empty_like(ens)
+        for lo in range(0, L, cfg.chunk):
+            hi = min(lo + cfg.chunk, L)
+            idx = rng.integers(0, L, size=(hi - lo, cfg.d_c - 1))
+            coefs_in = rng.integers(1, qsize, size=idx.shape)
+            coef_out = rng.integers(1, qsize, size=hi - lo)
+            rotated = np.take_along_axis(
+                ens[idx], f.mul_table[f.inv_table[coefs_in]], axis=2
+            )
+            conv = fwht(fwht(rotated).prod(axis=1)) / qsize
+            c2v = np.take_along_axis(conv, f.mul_table[coef_out], axis=1)
+            c2v = np.maximum(c2v, MSG_FLOOR)
+            combined = np.maximum(fresh[lo:hi] * c2v, MSG_FLOOR)
+            want[lo:hi] = combined / combined.sum(axis=1, keepdims=True)
+        assert np.array_equal(got, want)
 
     def test_entropy_drops_well_above_threshold(self):
         cfg = small_config(gamma0_db=4.0, ensemble_size=1024)
