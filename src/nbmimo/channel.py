@@ -211,19 +211,21 @@ def ergodic_capacity(
     if trials < 1:
         raise ValueError("need at least one trial")
     gamma = 10.0 ** (gamma_db / 10.0)
+
+    def log2_det(h):
+        gram = (gamma / n_t) * (h @ h.conj().T)
+        gram[np.diag_indices_from(gram)] += 1.0
+        return np.linalg.slogdet(gram)[1] / np.log(2.0)
+
     if h_fixed is not None:
-        gram = np.eye(n_r) + (gamma / n_t) * (h_fixed @ h_fixed.conj().T)
-        _, logdet = np.linalg.slogdet(gram)
-        return logdet / np.log(2.0), 0.0
+        return log2_det(h_fixed), 0.0
 
     vals = np.empty(trials)
-    eye = np.eye(n_r)
     for t in range(trials):
         h = sample_iid(n_t, n_r, rng)
         if corr is not None:
             h = apply_correlation(h, corr)
-        _, logdet = np.linalg.slogdet(eye + (gamma / n_t) * (h @ h.conj().T))
-        vals[t] = logdet / np.log(2.0)
+        vals[t] = log2_det(h)
     se = vals.std(ddof=1) / np.sqrt(trials) if trials > 1 else 0.0
     return float(vals.mean()), float(se)
 

@@ -27,6 +27,7 @@ import configparser
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from nbmimo.channel import spectral_efficiency
 from nbmimo.detect import DETECTORS
 
 COMMANDS = ("ber", "uncoded", "capacity", "threshold", "flops", "ksdelta")
@@ -106,7 +107,7 @@ class ExperimentConfig:
 
     @property
     def spectral_efficiency(self) -> float:
-        return float(self.bits_per_point * self.rate * self.n_t)
+        return spectral_efficiency(self.bits_per_point, self.rate, self.n_t)
 
     def validate(self) -> list[str]:
         errors = []

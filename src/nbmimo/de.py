@@ -16,7 +16,8 @@ sufficient statistic: every stream's estimate h_k^H y / N_r depends on H
 only through g = sum_j h_j and y, and given (g, y) the N_t projections
 are (g/N_t)^H y plus i.i.d. CN(0, ||y||^2) draws with their mean removed.
 That holds for i.i.d. Rayleigh fading with perfect CSI, the only channel
-density evolution models; the MMSE and exact-MF kinds draw a full H.
+density evolution models; the MMSE and exact-MF kinds draw a full H, a
+batch of uses at a time.
 
 Only BPSK supports the zero-codeword trick: rotational symmetry fails for
 larger QAM alphabets, so those configurations are rejected.
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 from scipy.special import entr
 
-from nbmimo.channel import gray_constellation, sample_iid, snr_to_noise, transmit
+from nbmimo.channel import gray_constellation, snr_to_noise
 from nbmimo.decoder import MSG_FLOOR, fwht
 from nbmimo.detect import DETECTORS, mf_soft, soft_detect, symbol_priors
 from nbmimo.galois import FieldTable, build_field
@@ -128,10 +129,10 @@ def _channel_prior_samples(cfg: DeConfig, n: int, rng: np.random.Generator) -> n
 
     Transmits the zero codeword: every antenna carries the label-0 point
     a, so y = a g + n with g = sum_j h_j.  Each channel use yields n_t/q
-    coded-symbol priors.  MMSE detects one use at a time; exact MF takes a
-    batch of uses on the leading axis of one `soft_detect` call, with its
-    fading and noise drawn in single precision (the detector statistics
-    are far above float32 resolution).
+    coded-symbol priors.  MMSE and exact MF take a batch of uses on the
+    leading axis of one `soft_detect` call, with its fading and noise
+    drawn in single precision (the detector statistics are far above
+    float32 resolution).
 
     Simplified MF needs only h_k^H y for every stream k, and never draws
     H.  The columns h_k are i.i.d. CN(0, I_{N_r}), so g ~ CN(0, N_t I)
@@ -151,43 +152,33 @@ def _channel_prior_samples(cfg: DeConfig, n: int, rng: np.random.Generator) -> n
     const = gray_constellation(2, symbol_energy=cfg.es / cfg.n_t)
     sigma2_n = snr_to_noise(cfg.gamma0_db, cfg.es)
     point0 = const.points[0]
-    s = np.full(cfg.n_t, point0)
     uses_left = -(-n // per_use)
-    if cfg.detector == "mf-simplified":
-        # symbol_priors gathers n_t 2^m factors per use; 2^21 of them (16 MB)
-        # stay small enough for the allocator to reuse, batch after batch.
-        max_batch = max(1, (1 << 21) // (cfg.n_t * field.size))
-    else:
-        max_batch = max(1, (1 << 24) // (cfg.n_t * cfg.n_r))
+    # 2^21 symbol_priors factors or channel entries (16 MB) per batch stay
+    # small enough for the allocator to reuse, batch after batch.
+    per_use_size = field.size if cfg.detector == "mf-simplified" else cfg.n_r
+    max_batch = max(1, (1 << 21) // (cfg.n_t * per_use_size))
     noise_scale = np.float32(np.sqrt(sigma2_n))
     half = np.float32(np.sqrt(2) / 2)
     out = np.empty((n, field.size))
     done = 0
     while done < n:
-        if cfg.detector == "mmse":
-            h = sample_iid(cfg.n_t, cfg.n_r, rng)
-            y = transmit(h, s, sigma2_n, rng)
-            block = soft_detect(cfg.detector, h, y, sigma2_n, const, cfg.es)
+        b = min(max_batch, uses_left)
+        uses_left -= b
+        if cfg.detector == "mf-simplified":
+            s_hat = _mf_simplified_estimates(cfg.n_t, cfg.n_r, point0, sigma2_n, b, rng)
+            # mf_sinr's simplified-mode constant Delta / 2 = sigma_n^2 / N_r.
+            block = mf_soft(s_hat, sigma2_n / cfg.n_r, const)
         else:
-            b = min(max_batch, uses_left)
-            uses_left -= b
-            if cfg.detector == "mf-simplified":
-                s_hat = _mf_simplified_estimates(
-                    cfg.n_t, cfg.n_r, point0, sigma2_n, b, rng
-                )
-                # mf_sinr's simplified-mode constant Delta / 2 = sigma_n^2 / N_r.
-                block = mf_soft(s_hat, sigma2_n / cfg.n_r, const)
-            else:
-                shape = (b, cfg.n_r, cfg.n_t)
-                h = np.empty(shape, dtype=np.complex64)
-                h.real = rng.standard_normal(shape, dtype=np.float32) * half
-                h.imag = rng.standard_normal(shape, dtype=np.float32) * half
-                # All antennas send the identical zero-symbol point.
-                y = np.complex64(point0) * h.sum(axis=2)
-                if sigma2_n > 0:
-                    y.real += noise_scale * rng.standard_normal((b, cfg.n_r), dtype=np.float32)
-                    y.imag += noise_scale * rng.standard_normal((b, cfg.n_r), dtype=np.float32)
-                block = soft_detect(cfg.detector, h, y, sigma2_n, const, cfg.es)
+            shape = (b, cfg.n_r, cfg.n_t)
+            h = np.empty(shape, dtype=np.complex64)
+            h.real = rng.standard_normal(shape, dtype=np.float32) * half
+            h.imag = rng.standard_normal(shape, dtype=np.float32) * half
+            # All antennas send the identical zero-symbol point.
+            y = np.complex64(point0) * h.sum(axis=2)
+            if sigma2_n > 0:
+                y.real += noise_scale * rng.standard_normal((b, cfg.n_r), dtype=np.float32)
+                y.imag += noise_scale * rng.standard_normal((b, cfg.n_r), dtype=np.float32)
+            block = soft_detect(cfg.detector, h, y, sigma2_n, const, cfg.es)
         priors = symbol_priors(block.reshape(-1, const.size), field)
         take = min(len(priors), n - done)
         out[done : done + take] = priors[:take]

@@ -18,9 +18,9 @@ Two detector families are provided:
 
 `soft_detect` maps a detector kind (one of `DETECTORS`) to its per-stream
 likelihood rows; every consumer (coded and uncoded sweeps, density
-evolution) detects through it.  The matched-filter functions take leading
-batch axes, h of shape (..., N_r, N_t) and y of shape (..., N_r), and give
-the same bits as one call per channel use; MMSE detects one use at a time.
+evolution) detects through it.  Every detector takes leading batch axes,
+h of shape (..., N_r, N_t) and y of shape (..., N_r), and gives the same
+bits as one call per channel use.
 
 Per-stream likelihood tables are aggregated into GF(2^m) symbol priors by
 multiplying the q per-stream likelihoods selected by each symbol's bit
@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from nbmimo.channel import gray_constellation, sample_iid, snr_to_noise, transmit
 from nbmimo.galois import FieldTable
 
 VAR_FLOOR = 1e-15
@@ -51,10 +52,10 @@ class StreamEstimates:
 
 
 def mmse_weights(h: np.ndarray, es: float, n_t: int, n0: float) -> np.ndarray:
-    """Weight matrix W with columns W_k, one positive-definite solve for all k."""
-    n_r = h.shape[0]
-    gram = h @ h.conj().T
-    gram[np.diag_indices(n_r)] += n0 / (es / n_t)
+    """Weight matrix W with columns W_k, one positive-definite solve per use."""
+    i = np.arange(h.shape[-2])
+    gram = h @ h.conj().swapaxes(-1, -2)
+    gram[..., i, i] += n0 / (es / n_t)
     try:
         factor = cho_factor(gram, lower=True)
     except np.linalg.LinAlgError as exc:
@@ -76,16 +77,17 @@ def mmse_soft(
 
     The likelihood is exp(-|s_hat_k - mu_k s|^2 / eps_k^2) normalized over
     the constellation; it is computed in the log domain with max
-    subtraction so the normalization is exact.
+    subtraction so the normalization is exact.  `var_clamped` reports a
+    clamp anywhere in the batch.
     """
     w = mmse_weights(h, es, n_t, n0)
-    s_hat = w.conj().T @ y
-    mu = np.real(np.sum(w.conj() * h, axis=0))
+    s_hat = (w.conj().swapaxes(-1, -2) @ y[..., None])[..., 0]
+    mu = np.real(np.sum(w.conj() * h, axis=-2))
     var = (es / n_t) * (mu - mu**2)
     clamped = bool(np.any(var <= VAR_FLOOR))
     var = np.maximum(var, VAR_FLOOR)
-    diff = s_hat[:, None] - mu[:, None] * constellation.points[None, :]
-    log_lik = -(np.abs(diff) ** 2) / var[:, None]
+    diff = s_hat[..., None] - mu[..., None] * constellation.points
+    log_lik = -(np.abs(diff) ** 2) / var[..., None]
     block = _normalize_rows(log_lik)
     return StreamEstimates(s_hat, mu, var, clamped), block
 
@@ -156,9 +158,8 @@ def soft_detect(
 ) -> np.ndarray:
     """Per-stream likelihood rows Pr(s_hat_k | s) of one detector kind.
 
-    `sigma2_n` is the noise variance per real component.  The rows have
-    shape (..., N_t, M); the matched-filter kinds take leading batch axes,
-    MMSE one channel use (a 2-D h).
+    `sigma2_n` is the noise variance per real component.  Every kind
+    takes leading batch axes; the rows have shape (..., N_t, M).
     """
     if kind not in DETECTORS:
         raise ValueError(f"unknown detector {kind!r}")
@@ -232,8 +233,6 @@ def mf_interference_samples(
     y = H s + n, and exact matched filtering.  `mf_soft` models each real
     component of this complex term as Gaussian with variance Delta_k / 2.
     """
-    from nbmimo.channel import gray_constellation, sample_iid, snr_to_noise, transmit
-
     sigma2_n = snr_to_noise(gamma_db)
     const = gray_constellation(modulation, symbol_energy=1.0 / n_t)
     out = np.empty(n_samples, dtype=np.complex128)

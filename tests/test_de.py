@@ -37,36 +37,42 @@ def small_config(**over):
 
 
 def full_channel_priors(cfg, n, rng):
-    """Raw channel priors drawn through a full H per use, in the RNG order of
-    the MMSE (one use at a time) and exact-MF (float32 batches) samplers."""
+    """Raw channel priors drawn through a full float32 H per use, in the
+    RNG order of the batched MMSE and exact-MF sampler."""
     per_use = cfg.n_t // cfg.m
     const = gray_constellation(2, symbol_energy=cfg.es / cfg.n_t)
     sigma2 = snr_to_noise(cfg.gamma0_db, cfg.es)
     uses = -(-n // per_use)
+    max_batch = max(1, (1 << 21) // (cfg.n_t * cfg.n_r))
+    half = np.float32(np.sqrt(2) / 2)
+    noise_scale = np.float32(np.sqrt(sigma2))
     blocks = []
-    if cfg.detector == "mmse":
-        s = np.full(cfg.n_t, const.points[0])
-        for _ in range(uses):
-            h = sample_iid(cfg.n_t, cfg.n_r, rng)
-            y = transmit(h, s, sigma2, rng)
-            blocks.append(soft_detect("mmse", h, y, sigma2, const, cfg.es))
-    else:
-        max_batch = max(1, (1 << 24) // (cfg.n_t * cfg.n_r))
-        half = np.float32(np.sqrt(2) / 2)
-        noise_scale = np.float32(np.sqrt(sigma2))
-        while uses > 0:
-            b = min(max_batch, uses)
-            uses -= b
-            shape = (b, cfg.n_r, cfg.n_t)
-            h = np.empty(shape, dtype=np.complex64)
-            h.real = rng.standard_normal(shape, dtype=np.float32) * half
-            h.imag = rng.standard_normal(shape, dtype=np.float32) * half
-            y = np.complex64(const.points[0]) * h.sum(axis=2)
-            y.real += noise_scale * rng.standard_normal((b, cfg.n_r), dtype=np.float32)
-            y.imag += noise_scale * rng.standard_normal((b, cfg.n_r), dtype=np.float32)
-            blocks.append(soft_detect(cfg.detector, h, y, sigma2, const, cfg.es))
+    while uses > 0:
+        b = min(max_batch, uses)
+        uses -= b
+        shape = (b, cfg.n_r, cfg.n_t)
+        h = np.empty(shape, dtype=np.complex64)
+        h.real = rng.standard_normal(shape, dtype=np.float32) * half
+        h.imag = rng.standard_normal(shape, dtype=np.float32) * half
+        y = np.complex64(const.points[0]) * h.sum(axis=2)
+        y.real += noise_scale * rng.standard_normal((b, cfg.n_r), dtype=np.float32)
+        y.imag += noise_scale * rng.standard_normal((b, cfg.n_r), dtype=np.float32)
+        blocks.append(soft_detect(cfg.detector, h, y, sigma2, const, cfg.es))
     block = np.concatenate([b.reshape(-1, const.size) for b in blocks])
     return symbol_priors(block, cfg.field)[:n]
+
+
+def per_use_priors(cfg, uses, rng):
+    """Raw channel priors of the zero codeword, one float64 H per use."""
+    const = gray_constellation(2, symbol_energy=cfg.es / cfg.n_t)
+    sigma2 = snr_to_noise(cfg.gamma0_db, cfg.es)
+    s = np.full(cfg.n_t, const.points[0])
+    blocks = []
+    for _ in range(uses):
+        h = sample_iid(cfg.n_t, cfg.n_r, rng)
+        y = transmit(h, s, sigma2, rng)
+        blocks.append(soft_detect(cfg.detector, h, y, sigma2, const, cfg.es))
+    return symbol_priors(np.concatenate(blocks), cfg.field)
 
 
 def full_channel_mf_estimates(n_t, n_r, sigma2, uses, rng):
@@ -209,11 +215,26 @@ class TestMfSimplifiedSampler:
     @pytest.mark.parametrize("detector", ["mmse", "mf-exact"])
     def test_other_detectors_keep_full_channel_draws(self, detector):
         # Only simplified MF samples from the sufficient statistic; the
-        # other kinds draw a full H in the same RNG order as before.
+        # other kinds draw float32 batches of a full H in this RNG order.
         cfg = small_config(gamma0_db=-2.0, ensemble_size=300, detector=detector)
         ens = de_initial_ensemble(cfg, np.random.default_rng(24))
         want = full_channel_priors(cfg, cfg.ensemble_size, np.random.default_rng(24))
         assert np.array_equal(ens, want)
+
+    @pytest.mark.parametrize("detector", ["mmse", "mf-exact"])
+    def test_full_channel_batch_matches_per_use_pipeline(self, detector):
+        # Two-sample KS tests, alpha = 0.001 each, of the float32 batched
+        # priors against one float64 H per use (sample_iid, transmit,
+        # soft_detect).  Each use gives n_t / m = 2 priors; taking one of
+        # them per use keeps the samples independent.
+        uses = 3000
+        cfg = small_config(gamma0_db=-2.0, detector=detector)
+        per_use = cfg.n_t // cfg.m
+        fast = de._channel_prior_samples(cfg, uses * per_use, np.random.default_rng(27))
+        full = per_use_priors(cfg, uses, np.random.default_rng(28))
+        for k in range(per_use):
+            got, want = fast[k::per_use, 0], full[k::per_use, 0]
+            assert stats.ks_2samp(got, want).pvalue > 1e-3
 
 
 class TestIterate:

@@ -296,13 +296,15 @@ class TestBatchAxis:
         for i in range(5):
             assert np.array_equal(rows[i], mf_soft(s_hat[i], sk[i], c))
 
-    @pytest.mark.parametrize("kind", ["mf-exact", "mf-simplified"])
+    @pytest.mark.parametrize("kind", DETECTORS)
     def test_soft_detect(self, kind):
-        h, y, sigma2, c = _stack(23, (2, 3), 8, 8, 2)
-        rows = soft_detect(kind, h, y, sigma2, c)
-        assert rows.shape == (2, 3, 8, 2)
-        for i, j in itertools.product(range(2), range(3)):
-            assert np.array_equal(rows[i, j], soft_detect(kind, h[i, j], y[i, j], sigma2, c))
+        for float32 in (False, True):
+            h, y, sigma2, c = _stack(23, (2, 3), 8, 8, 2, float32)
+            rows = soft_detect(kind, h, y, sigma2, c)
+            assert rows.shape == (2, 3, 8, 2)
+            for i, j in itertools.product(range(2), range(3)):
+                want = soft_detect(kind, h[i, j], y[i, j], sigma2, c)
+                assert np.array_equal(rows[i, j], want)
 
 
 class TestSoftDetect:
