@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import zherk
+from scipy.linalg.lapack import zpotrf
 
 from nbmimo.galois import FieldTable
 
@@ -125,7 +127,11 @@ def sample_iid(n_t: int, n_r: int, rng: np.random.Generator) -> np.ndarray:
 
 
 class CorrelationSpec:
-    """Exponential transmit/receive correlation with cached matrix roots."""
+    """Exponential transmit/receive correlation with cached matrix roots.
+
+    `eig_t` and `eig_r` hold the (clipped) eigenvalues behind `sqrt_t` and
+    `sqrt_r`; capacity draws need only these.
+    """
 
     def __init__(self, rho_t: float, rho_r: float, n_t: int, n_r: int):
         if not (0 <= rho_t < 1 and 0 <= rho_r < 1):
@@ -134,8 +140,8 @@ class CorrelationSpec:
         self.rho_r = rho_r
         self.r_t = self._exponential(rho_t, n_t)
         self.r_r = self._exponential(rho_r, n_r)
-        self.sqrt_t = self._psd_sqrt(self.r_t)
-        self.sqrt_r = self._psd_sqrt(self.r_r)
+        self.sqrt_t, self.eig_t = self._psd_sqrt(self.r_t)
+        self.sqrt_r, self.eig_r = self._psd_sqrt(self.r_r)
 
     @staticmethod
     def _exponential(rho: float, n: int) -> np.ndarray:
@@ -143,12 +149,12 @@ class CorrelationSpec:
         return rho ** np.abs(idx[:, None] - idx[None, :])
 
     @staticmethod
-    def _psd_sqrt(r: np.ndarray) -> np.ndarray:
+    def _psd_sqrt(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Eigendecomposition instead of Cholesky so rho -> 1 degrades
         # gracefully (eigenvalues clipped at zero).
         w, v = np.linalg.eigh(r)
         w = np.clip(w, 0.0, None)
-        return (v * np.sqrt(w)) @ v.conj().T
+        return (v * np.sqrt(w)) @ v.conj().T, w
 
     @property
     def is_identity(self) -> bool:
@@ -207,24 +213,41 @@ def ergodic_capacity(
 
     `h_fixed` evaluates the closed form on a deterministic matrix (test
     hook); `corr` draws doubly correlated realizations.
+
+    A correlated trial is drawn in the eigenbasis of the correlation
+    matrices.  With R = U Lambda U^T, the Kronecker channel is
+    H = U_r Lambda_r^{1/2} U_r^T W U_t Lambda_t^{1/2} U_t^T.  The log det
+    does not change under the unitary U_r on the left and U_t^T on the
+    right, and U_r^T W U_t has the law of the i.i.d. W.  So
+    Lambda_r^{1/2} W Lambda_t^{1/2}, a diagonal scaling of W, gives the
+    capacity the same law as the full product (Tulino & Verdu, Random
+    Matrix Theory and Wireless Communications, 2004).  This holds for
+    capacity only; detection needs the eigenvectors (`apply_correlation`).
+    The log det comes from a Cholesky factor of the Gram matrix.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    gamma = 10.0 ** (gamma_db / 10.0)
+    scale = 10.0 ** (gamma_db / 10.0) / n_t
 
     def log2_det(h):
-        gram = (gamma / n_t) * (h @ h.conj().T)
+        gram = zherk(scale, h)  # upper triangle of scale * H H^H
         gram[np.diag_indices_from(gram)] += 1.0
-        return np.linalg.slogdet(gram)[1] / np.log(2.0)
+        factor, info = zpotrf(gram, overwrite_a=True)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"Cholesky factorization failed ({info})")
+        return 2.0 * np.log(factor.diagonal().real).sum() / np.log(2.0)
 
     if h_fixed is not None:
         return log2_det(h_fixed), 0.0
 
+    if corr is not None:
+        root_r = np.sqrt(corr.eig_r)[:, None]
+        root_t = np.sqrt(corr.eig_t)
     vals = np.empty(trials)
     for t in range(trials):
         h = sample_iid(n_t, n_r, rng)
         if corr is not None:
-            h = apply_correlation(h, corr)
+            h = root_r * h * root_t
         vals[t] = log2_det(h)
     se = vals.std(ddof=1) / np.sqrt(trials) if trials > 1 else 0.0
     return float(vals.mean()), float(se)

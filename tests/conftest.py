@@ -33,7 +33,7 @@ def pytest_runtest_logreport(report):
     if "test_acceptance" not in report.nodeid:
         return
     name = report.nodeid.split("::")[-1]
-    _acceptance_results[name] = report.outcome
+    _acceptance_results[name] = (report.outcome, report.duration)
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -41,6 +41,6 @@ def pytest_terminal_summary(terminalreporter):
         return
     terminalreporter.section("acceptance criteria")
     for name in sorted(_acceptance_results):
-        outcome = _acceptance_results[name].upper()
-        mark = "PASS" if outcome == "PASSED" else outcome
-        terminalreporter.write_line(f"{mark:8s} {name}")
+        outcome, duration = _acceptance_results[name]
+        mark = "PASS" if outcome == "passed" else outcome.upper()
+        terminalreporter.write_line(f"{mark:8s} {duration:8.2f}s  {name}")

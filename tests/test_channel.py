@@ -142,6 +142,13 @@ class TestCorrelation:
         assert np.allclose(spec.sqrt_t @ spec.sqrt_t.conj().T, spec.r_t, atol=1e-10)
         assert np.allclose(spec.sqrt_r @ spec.sqrt_r.conj().T, spec.r_r, atol=1e-10)
 
+    def test_eigenvalues_behind_the_roots(self):
+        spec = CorrelationSpec(0.6, 0.3, 12, 20)
+        assert np.allclose(spec.sqrt_t @ spec.sqrt_t, spec.r_t, atol=1e-12)
+        assert np.allclose(spec.sqrt_r @ spec.sqrt_r, spec.r_r, atol=1e-12)
+        assert spec.eig_t.sum() == pytest.approx(12, abs=1e-12)
+        assert spec.eig_r.sum() == pytest.approx(20, abs=1e-12)
+
     def test_zero_rho_is_identity(self):
         spec = CorrelationSpec(0.0, 0.0, 4, 4)
         rng = np.random.default_rng(4)
@@ -258,6 +265,36 @@ class TestCapacity:
             for g in [-10, -5, 0, 5, 10]
         ]
         assert np.all(np.diff(caps) > 0)
+
+    @pytest.mark.parametrize("n_t,n_r", [(5, 5), (3, 7), (7, 3)])
+    def test_cholesky_log_det_matches_slogdet(self, n_t, n_r):
+        rng = np.random.default_rng(16)
+        h = sample_iid(n_t, n_r, rng)
+        gamma_db = 3.0
+        gram = np.eye(n_r) + (10 ** (gamma_db / 10) / n_t) * (h @ h.conj().T)
+        want = np.linalg.slogdet(gram)[1] / np.log(2)
+        got, _ = ergodic_capacity(n_t, n_r, gamma_db, trials=1, rng=rng, h_fixed=h)
+        assert got == pytest.approx(want, abs=1e-12)
+
+    def test_eigenbasis_draws_match_explicit_correlation(self):
+        # Capacity is drawn as Lambda_r^{1/2} W Lambda_t^{1/2}; the explicit
+        # Kronecker product R_r^{1/2} W R_t^{1/2} must give the same law.
+        n_t, n_r, gamma_db, trials = 12, 20, 0.0, 4000
+        spec = CorrelationSpec(0.6, 0.3, n_t, n_r)
+        c0, se0 = ergodic_capacity(
+            n_t, n_r, gamma_db, trials, np.random.default_rng(17), corr=spec
+        )
+        rng = np.random.default_rng(18)
+        explicit = [
+            ergodic_capacity(
+                n_t, n_r, gamma_db, trials=1, rng=rng,
+                h_fixed=apply_correlation(sample_iid(n_t, n_r, rng), spec),
+            )[0]
+            for _ in range(trials)
+        ]
+        c1 = np.mean(explicit)
+        se1 = np.std(explicit, ddof=1) / np.sqrt(trials)
+        assert abs(c0 - c1) < 4 * np.hypot(se0, se1)
 
     def test_correlation_reduces_capacity(self):
         corr = CorrelationSpec(0.6, 0.6, 16, 16)

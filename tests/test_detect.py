@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from nbmimo.channel import gray_constellation, sample_iid, snr_to_noise, transmit
 from nbmimo.detect import (
@@ -204,23 +205,45 @@ class TestMfSinr:
         with pytest.raises(ValueError):
             mf_sinr(np.eye(2, dtype=np.complex128), 1.0, 2, 0.1, mode="zf")
 
-    @pytest.mark.parametrize("modulation,stream", [(2, 0), (4, 2)])
-    def test_interference_sampler_matches_direct(self, modulation, stream):
-        rng1 = np.random.default_rng(8)
-        rng2 = np.random.default_rng(8)
+    @pytest.mark.parametrize(
+        "n_t,n_r,modulation,stream,gamma_db",
+        [(4, 4, 4, 2, -2.0), (3, 8, 16, 1, 10.0)],
+        ids=["qpsk-4x4", "16qam-3x8"],
+    )
+    def test_interference_sampler_matches_pipeline_in_law(
+        self, n_t, n_r, modulation, stream, gamma_db
+    ):
+        # The sampler draws the term without H, so it can equal the full
+        # detection path only in law: a two-sample KS test on Re, Im and
+        # |.| against the pipeline written out here, and E|x|^2 against
+        # its closed form ((N_t - 1) E_s / N_t + 2 sigma_n^2) / (N_r - 1).
+        # The 16-QAM case has few interferers and little noise, so the
+        # spread of sum |s_i|^2 over the symbols shows in the law.
+        n = 20_000
         got = mf_interference_samples(
-            4, 4, 0.0, 10, rng1, modulation=modulation, stream=stream
+            n_t, n_r, gamma_db, n, np.random.default_rng(81),
+            modulation=modulation, stream=stream,
         )
-        c = gray_constellation(modulation, symbol_energy=1 / 4)
-        sigma2 = snr_to_noise(0.0)
-        want = np.empty(10, dtype=np.complex128)
-        for i in range(10):
-            h = sample_iid(4, 4, rng2)
-            s = c.points[rng2.integers(0, modulation, size=4)]
-            y = transmit(h, s, sigma2, rng2)
-            wk = h[:, stream].conj() / np.real(h[:, stream].conj() @ h[:, stream])
-            want[i] = wk @ y - s[stream]
-        assert np.allclose(got, want, atol=1e-12)
+        rng = np.random.default_rng(82)
+        c = gray_constellation(modulation, symbol_energy=1 / n_t)
+        sigma2 = snr_to_noise(gamma_db)
+        want = np.empty(n, dtype=np.complex128)
+        for i in range(n):
+            h = sample_iid(n_t, n_r, rng)
+            s = c.points[rng.integers(0, modulation, size=n_t)]
+            y = transmit(h, s, sigma2, rng)
+            want[i] = mf_detect(h, y, mode="exact")[stream] - s[stream]
+        for part in (np.real, np.imag, np.abs):
+            p = stats.ks_2samp(part(got), part(want)).pvalue
+            assert p > 0.001, f"{part.__name__}: KS p = {p:.3g}"
+        power = ((n_t - 1) / n_t + 2 * sigma2) / (n_r - 1)
+        mag2 = np.abs(got) ** 2
+        se = mag2.std(ddof=1) / np.sqrt(n)
+        assert abs(mag2.mean() - power) < 4 * se
+
+    def test_interference_sampler_rejects_stream_out_of_range(self):
+        with pytest.raises(ValueError):
+            mf_interference_samples(4, 4, 0.0, 10, np.random.default_rng(8), stream=4)
 
     def test_ks_rejects_interference_term_at_2x2(self):
         # Criterion 9's check (seed, 1e5 draws, -2 dB, alpha = 0.001) has
