@@ -252,10 +252,6 @@ class CodeSpec:
         return self.n_symbols * self.repeat_factor
 
     @property
-    def n_bits(self) -> int:
-        return self.field.m * self.n_transmit_symbols
-
-    @property
     def k_bits(self) -> int:
         return self.field.m * self.k_symbols
 

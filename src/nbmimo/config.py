@@ -14,11 +14,12 @@ A config file (or preset) holds one experiment.  Sections and keys:
     [capacity] trials, rho (comma list)
     [de]       ensemble_size, max_iterations, step_db, h_stop,
                repeat_factors (comma list), gamma0_db (comma list, one per factor)
-    [flops]    n_r (comma list), modulation
-    [ksdelta]  samples, significance, stream
+    [flops]    n_r (comma list)
+    [ksdelta]  samples, significance
 
-Validation is exhaustive: every detectable problem is reported in a single
-ConfigError rather than failing on the first.
+The flop table uses [system] modulation.  Validation is exhaustive: every
+detectable problem, an unknown section or key among them, is reported in a
+single ConfigError rather than failing on the first.
 """
 
 from __future__ import annotations
@@ -47,6 +48,45 @@ def _floats(text: str) -> list[float]:
 
 def _ints(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t.strip()]
+
+
+def _names(text: str) -> list[str]:
+    return [t.strip() for t in text.split(",") if t.strip()]
+
+
+# (section, key, converter, ExperimentConfig field): the whole INI surface.
+INI_KEYS = (
+    ("meta", "command", str.strip, "command"),
+    ("system", "n_t", int, "n_t"),
+    ("system", "n_r", int, "n_r"),
+    ("system", "modulation", int, "modulation"),
+    ("system", "fading", str.strip, "fading"),
+    ("code", "m", int, "m"),
+    ("code", "n_symbols", int, "n_symbols"),
+    ("code", "d_c", int, "d_c"),
+    ("code", "repeat_factor", int, "repeat_factor"),
+    ("code", "construction_seed", int, "construction_seed"),
+    ("detector", "kind", _names, "detectors"),
+    ("channel", "rho_t", float, "rho_t"),
+    ("channel", "rho_r", float, "rho_r"),
+    ("channel", "est_error_var", _floats, "est_error_vars"),
+    ("decoder", "max_iterations", int, "decoder_iterations"),
+    ("stop", "min_frame_errors", int, "min_frame_errors"),
+    ("stop", "max_frames", int, "max_frames"),
+    ("sweep", "gamma_db", _floats, "gamma_db"),
+    ("run", "master_seed", int, "master_seed"),
+    ("capacity", "trials", int, "capacity_trials"),
+    ("capacity", "rho", _floats, "capacity_rho"),
+    ("de", "ensemble_size", int, "de_ensemble_size"),
+    ("de", "max_iterations", int, "de_max_iterations"),
+    ("de", "step_db", float, "de_step_db"),
+    ("de", "h_stop", float, "de_h_stop"),
+    ("de", "repeat_factors", _ints, "de_repeat_factors"),
+    ("de", "gamma0_db", _floats, "de_gamma0_db"),
+    ("flops", "n_r", _ints, "flops_n_r"),
+    ("ksdelta", "samples", int, "ks_samples"),
+    ("ksdelta", "significance", float, "ks_significance"),
+)
 
 
 @dataclass
@@ -86,11 +126,9 @@ class ExperimentConfig:
     de_gamma0_db: list[float] = field(default_factory=lambda: [-3.0])
     # flops
     flops_n_r: list[int] = field(default_factory=lambda: [200])
-    flops_modulation: int = 2
     # ksdelta
     ks_samples: int = 100_000
     ks_significance: float = 0.001
-    ks_stream: int = 0
 
     @property
     def bits_per_point(self) -> int:
@@ -186,8 +224,6 @@ class ExperimentConfig:
                 errors.append("ksdelta needs at least 10^3 samples")
             if not 0 < self.ks_significance < 1:
                 errors.append("ks significance must lie in (0, 1)")
-            if not 0 <= self.ks_stream < self.n_t:
-                errors.append("ks stream index out of range")
         return errors
 
     @classmethod
@@ -197,51 +233,28 @@ class ExperimentConfig:
         cfg = cls()
         errors = []
 
-        def take(section, key, convert, attr):
+        known = {(section, key) for section, key, _, _ in INI_KEYS}
+        # Keys under [DEFAULT] reach every section; check them once.
+        defaults = parser.defaults()
+        for key in defaults:
+            if key not in {k for _, k in known}:
+                errors.append(f"unknown key [DEFAULT] {key}")
+        sections = {section for section, _ in known}
+        for section in parser.sections():
+            if section not in sections:
+                errors.append(f"unknown section [{section}]")
+                continue
+            for key in parser.options(section):
+                if key not in defaults and (section, key) not in known:
+                    errors.append(f"unknown key [{section}] {key}")
+
+        for section, key, convert, attr in INI_KEYS:
             if parser.has_option(section, key):
                 raw = parser.get(section, key)
                 try:
                     setattr(cfg, attr, convert(raw))
                 except (ValueError, TypeError):
                     errors.append(f"[{section}] {key} = {raw!r} is malformed")
-
-        take("meta", "command", str.strip, "command")
-        take("system", "n_t", int, "n_t")
-        take("system", "n_r", int, "n_r")
-        take("system", "modulation", int, "modulation")
-        take("system", "fading", str.strip, "fading")
-        take("code", "m", int, "m")
-        take("code", "n_symbols", int, "n_symbols")
-        take("code", "d_c", int, "d_c")
-        take("code", "repeat_factor", int, "repeat_factor")
-        take("code", "construction_seed", int, "construction_seed")
-        take(
-            "detector",
-            "kind",
-            lambda s: [t.strip() for t in s.split(",") if t.strip()],
-            "detectors",
-        )
-        take("channel", "rho_t", float, "rho_t")
-        take("channel", "rho_r", float, "rho_r")
-        take("channel", "est_error_var", _floats, "est_error_vars")
-        take("decoder", "max_iterations", int, "decoder_iterations")
-        take("stop", "min_frame_errors", int, "min_frame_errors")
-        take("stop", "max_frames", int, "max_frames")
-        take("sweep", "gamma_db", _floats, "gamma_db")
-        take("run", "master_seed", int, "master_seed")
-        take("capacity", "trials", int, "capacity_trials")
-        take("capacity", "rho", _floats, "capacity_rho")
-        take("de", "ensemble_size", int, "de_ensemble_size")
-        take("de", "max_iterations", int, "de_max_iterations")
-        take("de", "step_db", float, "de_step_db")
-        take("de", "h_stop", float, "de_h_stop")
-        take("de", "repeat_factors", _ints, "de_repeat_factors")
-        take("de", "gamma0_db", _floats, "de_gamma0_db")
-        take("flops", "n_r", _ints, "flops_n_r")
-        take("flops", "modulation", int, "flops_modulation")
-        take("ksdelta", "samples", int, "ks_samples")
-        take("ksdelta", "significance", float, "ks_significance")
-        take("ksdelta", "stream", int, "ks_stream")
 
         errors.extend(cfg.validate())
         if errors:

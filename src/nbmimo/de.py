@@ -44,6 +44,10 @@ class ThresholdSearchError(RuntimeError):
     pass
 
 
+# SNR points `find_threshold` tries before it gives up.
+MAX_POINTS = 500
+
+
 @dataclass
 class DeConfig:
     """Ensemble, iteration, and SNR-descent parameters plus the system."""
@@ -60,8 +64,6 @@ class DeConfig:
     gamma0_db: float = -3.0
     step_db: float = 0.05
     h_stop: float = 1e-6
-    es: float = 1.0
-    max_points: int = 500
     chunk: int = 8192
     field: FieldTable = dc_field(default=None, repr=False)
 
@@ -87,7 +89,6 @@ class DeConfig:
 class DeResult:
     threshold_db: float
     trajectory: list
-    converged_points: list
 
 
 def ensemble_entropy(ensemble: np.ndarray, field: FieldTable) -> float:
@@ -149,8 +150,8 @@ def _channel_prior_samples(cfg: DeConfig, n: int, rng: np.random.Generator) -> n
     field = cfg.field
     q = field.m  # BPSK: one bit per modulated symbol
     per_use = cfg.n_t // q
-    const = gray_constellation(2, symbol_energy=cfg.es / cfg.n_t)
-    sigma2_n = snr_to_noise(cfg.gamma0_db, cfg.es)
+    const = gray_constellation(2, symbol_energy=1.0 / cfg.n_t)
+    sigma2_n = snr_to_noise(cfg.gamma0_db)
     point0 = const.points[0]
     uses_left = -(-n // per_use)
     # 2^21 symbol_priors factors or channel entries (16 MB) per batch stay
@@ -178,7 +179,7 @@ def _channel_prior_samples(cfg: DeConfig, n: int, rng: np.random.Generator) -> n
             if sigma2_n > 0:
                 y.real += noise_scale * rng.standard_normal((b, cfg.n_r), dtype=np.float32)
                 y.imag += noise_scale * rng.standard_normal((b, cfg.n_r), dtype=np.float32)
-            block = soft_detect(cfg.detector, h, y, sigma2_n, const, cfg.es)
+            block = soft_detect(cfg.detector, h, y, sigma2_n, const)
         priors = symbol_priors(block.reshape(-1, const.size), field)
         take = min(len(priors), n - done)
         out[done : done + take] = priors[:take]
@@ -266,9 +267,8 @@ def find_threshold(cfg: DeConfig, seed: int = 0) -> DeResult:
     first point does not decode.
     """
     trajectory = []
-    converged = []
     previous = None
-    for point in range(cfg.max_points):
+    for point in range(MAX_POINTS):
         gamma = cfg.gamma0_db - point * cfg.step_db
         point_cfg = replace(cfg, gamma0_db=gamma)
         point_rng = np.random.default_rng(
@@ -279,7 +279,6 @@ def find_threshold(cfg: DeConfig, seed: int = 0) -> DeResult:
             {"gamma_db": gamma, "iterations": iters, "entropy": entropy, "decoded": ok}
         )
         if ok:
-            converged.append(gamma)
             previous = gamma
             continue
         if previous is None:
@@ -287,8 +286,8 @@ def find_threshold(cfg: DeConfig, seed: int = 0) -> DeResult:
                 f"starting SNR {cfg.gamma0_db} dB does not decode "
                 f"(entropy {entropy:.3g} after {iters} iterations); start higher"
             )
-        return DeResult(previous, trajectory, converged)
+        return DeResult(previous, trajectory)
     raise ThresholdSearchError(
-        f"no failure within {cfg.max_points} descent steps; lower gamma0_db "
-        "or raise max_points"
+        f"no failure within {MAX_POINTS} descent steps; lower gamma0_db "
+        "or raise step_db"
     )

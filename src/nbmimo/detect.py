@@ -156,37 +156,25 @@ def soft_detect(
     y: np.ndarray,
     sigma2_n: float,
     constellation,
-    es: float = 1.0,
 ) -> np.ndarray:
     """Per-stream likelihood rows Pr(s_hat_k | s) of one detector kind.
 
-    `sigma2_n` is the noise variance per real component.  Every kind
-    takes leading batch axes; the rows have shape (..., N_t, M).
+    `sigma2_n` is the noise variance per real component, and E_s = 1.
+    Every kind takes leading batch axes; the rows have shape (..., N_t, M).
     """
     if kind not in DETECTORS:
         raise ValueError(f"unknown detector {kind!r}")
     n_t = h.shape[-1]
     if kind == "mmse":
-        _, block = mmse_soft(h, y, es, n_t, 2 * sigma2_n, constellation)
+        _, block = mmse_soft(h, y, 1.0, n_t, 2 * sigma2_n, constellation)
         return block
     mode = kind.removeprefix("mf-")
     s_hat = mf_detect(h, y, mode=mode)
-    _, _, sigma2_k = mf_sinr(h, es, n_t, sigma2_n, mode=mode)
+    _, _, sigma2_k = mf_sinr(h, 1.0, n_t, sigma2_n, mode=mode)
     return mf_soft(s_hat, sigma2_k, constellation)
 
 
-class MultiplyCounter:
-    """Counts the real multiplications spent aggregating symbol priors."""
-
-    def __init__(self):
-        self.real_multiplications = 0
-
-
-def symbol_priors(
-    likelihoods: np.ndarray,
-    field: FieldTable,
-    counter: MultiplyCounter | None = None,
-) -> np.ndarray:
+def symbol_priors(likelihoods: np.ndarray, field: FieldTable) -> np.ndarray:
     """Fold q consecutive per-stream likelihood rows into 2^m symbol priors.
 
     Streams k .. k+q-1 carry one coded symbol; the prior of symbol value x
@@ -214,8 +202,6 @@ def symbol_priors(
     grouped = likelihoods.reshape(n_symbols, q, m_points)
     factors = grouped[:, np.arange(q)[:, None], label_map]  # (n_symbols, q, 2^m)
     priors = np.multiply.reduce(factors, axis=1)
-    if counter is not None:
-        counter.real_multiplications += n_symbols * (q - 1) * field.size
     return priors / priors.sum(axis=1, keepdims=True)
 
 
@@ -226,7 +212,6 @@ def mf_interference_samples(
     n_samples: int,
     rng: np.random.Generator,
     modulation: int = 2,
-    stream: int = 0,
 ) -> np.ndarray:
     """Draws of the exact-MF interference-plus-noise term s_hat_k - s_k.
 
@@ -244,8 +229,6 @@ def mf_interference_samples(
     law for every constellation and every stream (the streams are
     exchangeable), at O(N_t) per draw instead of O(N_r N_t).
     """
-    if not 0 <= stream < n_t:
-        raise ValueError(f"stream {stream} outside 0..{n_t - 1}")
     sigma2_n = snr_to_noise(gamma_db)
     const = gray_constellation(modulation, symbol_energy=1.0 / n_t)
     energy = np.abs(const.points) ** 2

@@ -118,7 +118,6 @@ gamma_db = -2.0
 [ksdelta]
 samples = 100000
 significance = 0.001
-stream = 0
 [run]
 master_seed = 2801
 """,
@@ -151,9 +150,10 @@ master_seed = 2901
     "fig11": """
 [meta]
 command = flops
+[system]
+modulation = 2
 [flops]
 n_r = 10, 20, 50, 100, 200, 400, 600, 800, 1000
-modulation = 2
 [run]
 master_seed = 1
 """,
@@ -320,9 +320,10 @@ master_seed = 14
     "ci-small-flops": """
 [meta]
 command = flops
+[system]
+modulation = 2
 [flops]
 n_r = 1, 8, 200
-modulation = 2
 [run]
 master_seed = 1
 """,
@@ -338,7 +339,6 @@ gamma_db = -2.0
 [ksdelta]
 samples = 2000
 significance = 0.001
-stream = 0
 [run]
 master_seed = 15
 """,

@@ -100,8 +100,7 @@ def _sweep(cfg: ExperimentConfig, purpose: int, bits_per_frame: int, run_frame,
     sends its transmit vectors through `link(rng, vectors)`, which returns
     their stacked likelihood rows, and returns (bit errors, BP iterations).
     """
-    es = 1.0
-    const = gray_constellation(cfg.modulation, symbol_energy=es / cfg.n_t)
+    const = gray_constellation(cfg.modulation, symbol_energy=1.0 / cfg.n_t)
     corr = None
     if cfg.rho_t > 0 or cfg.rho_r > 0:
         corr = CorrelationSpec(cfg.rho_t, cfg.rho_r, cfg.n_t, cfg.n_r)
@@ -109,7 +108,7 @@ def _sweep(cfg: ExperimentConfig, purpose: int, bits_per_frame: int, run_frame,
     for kind in cfg.detectors:
         for sigma2_e in cfg.est_error_vars:
             for gamma_db in cfg.gamma_db:
-                sigma2_n = snr_to_noise(gamma_db, es)
+                sigma2_n = snr_to_noise(gamma_db)
 
                 def link(rng, vectors):
                     blocks = []
@@ -121,7 +120,7 @@ def _sweep(cfg: ExperimentConfig, purpose: int, bits_per_frame: int, run_frame,
                                 h = apply_correlation(h, corr)
                             h_est = perturb_estimate(h, sigma2_e, rng)
                         y = transmit(h, s_vec, sigma2_n, rng)
-                        blocks.append(soft_detect(kind, h_est, y, sigma2_n, const, es))
+                        blocks.append(soft_detect(kind, h_est, y, sigma2_n, const))
                     return np.vstack(blocks)
 
                 counts = []
@@ -169,8 +168,8 @@ def run_ber(cfg: ExperimentConfig, progress=None) -> list[SweepSummary]:
     def run_frame(rng, const, link):
         info = rng.integers(0, field.size, size=spec.k_symbols)
         x = spec.encode(info)
-        mapped = map_codeword(spec.expand(x), const, field, cfg.n_t)
-        priors = symbol_priors(link(rng, mapped.vectors), field)
+        vectors = map_codeword(spec.expand(x), const, field, cfg.n_t)
+        priors = symbol_priors(link(rng, vectors), field)
         folded = spec.fold_priors(priors[: spec.n_transmit_symbols])
         res = decode(folded, spec.matrix, field, cfg.decoder_iterations)
         got = field.to_bits(res.hard[spec.info_cols])
@@ -269,7 +268,7 @@ def run_threshold(cfg: ExperimentConfig) -> list[dict]:
 
 def run_flops(cfg: ExperimentConfig) -> list[dict]:
     out = []
-    m = cfg.flops_modulation
+    m = cfg.modulation
     for n_r in cfg.flops_n_r:
         pd, ps = flops_proposed(n_r, m)
         md, ms = flops_mmse(n_r, m)
@@ -322,7 +321,7 @@ def run_ksdelta(cfg: ExperimentConfig) -> list[dict]:
     gamma_db = cfg.gamma_db[0]
     samples = mf_interference_samples(
         cfg.n_t, cfg.n_r, gamma_db, cfg.ks_samples, rng,
-        modulation=cfg.modulation, stream=cfg.ks_stream,
+        modulation=cfg.modulation,
     )
     res = ks_gaussian_test(samples.real, cfg.ks_significance)
     return [

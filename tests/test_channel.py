@@ -61,38 +61,34 @@ class TestMapping:
     def test_qpsk_200_antennas_packs_50_symbols(self):
         f = build_field(8)
         c = gray_constellation(4)
-        frame = map_codeword(np.zeros(300, dtype=np.int64), c, f, n_t=200)
-        assert frame.q == 4
-        assert frame.symbols_per_use == 50
-        assert frame.vectors.shape == (6, 200)
-        assert frame.n_pad_symbols == 0
+        vectors = map_codeword(np.zeros(300, dtype=np.int64), c, f, n_t=200)
+        # q = 4 QPSK symbols per coded symbol, 50 coded symbols per use.
+        assert vectors.shape == (6, 200)
 
     def test_bpsk_uses_eight_streams_per_symbol(self):
         f = build_field(8)
         c = gray_constellation(2)
-        frame = map_codeword(np.array([0b10110001]), c, f, n_t=8)
+        vectors = map_codeword(np.array([0b10110001]), c, f, n_t=8)
         amp = np.sqrt(1.0)
         want_bits = [1, 0, 0, 0, 1, 1, 0, 1]  # LSB first
         want = np.array([amp * (1 - 2 * b) for b in want_bits])
-        assert np.allclose(frame.vectors[0], want)
+        assert np.allclose(vectors[0], want)
 
     def test_partial_final_vector_zero_padded(self):
         f = build_field(8)
         c = gray_constellation(2)
-        frame = map_codeword(np.arange(5, dtype=np.int64), c, f, n_t=16)
-        assert frame.symbols_per_use == 2
-        assert frame.n_pad_symbols == 1
-        assert frame.vectors.shape == (3, 16)
+        vectors = map_codeword(np.arange(5, dtype=np.int64), c, f, n_t=16)
+        # Two coded symbols per use: 5 symbols plus one padding symbol.
+        assert vectors.shape == (3, 16)
         # Padding transmits the zero symbol: all label-0 points.
-        assert np.allclose(frame.vectors[-1, 8:], c.points[0])
+        assert np.allclose(vectors[-1, 8:], c.points[0])
 
     def test_noiseless_round_trip(self):
         f = build_field(8)
         c = gray_constellation(4)
         rng = np.random.default_rng(0)
         symbols = rng.integers(0, 256, size=75)
-        frame = map_codeword(symbols, c, f, n_t=20)
-        flat = frame.vectors.reshape(-1)
+        flat = map_codeword(symbols, c, f, n_t=20).reshape(-1)
         labels = np.array([np.argmin(np.abs(c.points - s)) for s in flat])
         bits = c.labels_to_bits(labels).reshape(-1, 8)
         back = f.from_bits(bits)[: len(symbols)]

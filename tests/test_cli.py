@@ -1,11 +1,12 @@
 import io
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nbmimo.cli import build_parser, load_config, main
-from nbmimo.config import ConfigError, ExperimentConfig
+from nbmimo.config import INI_KEYS, ConfigError, ExperimentConfig
 from nbmimo.presets import PRESETS, preset_text
 from nbmimo.runner import (
     ks_gaussian_test,
@@ -98,6 +99,53 @@ gamma0_db = -3
             n_t=200, modulation=2, n_symbols=300, d_c=3, repeat_factor=2
         )
         assert cfg.spectral_efficiency == pytest.approx(200 / 6)
+
+    def test_unknown_sections_and_keys_reported_together(self):
+        text = """
+[meta]
+command = ksdelta
+[system]
+fadng = per-frame
+[detectr]
+kind = mf-exact
+[ksdelta]
+stream = 7
+[flops]
+modulation = 4
+"""
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_ini(text)
+        assert err.value.errors == [
+            "unknown key [system] fadng",
+            "unknown section [detectr]",
+            "unknown key [ksdelta] stream",
+            "unknown key [flops] modulation",
+        ]
+
+    def test_default_section_checked_once(self):
+        text = """
+[DEFAULT]
+samples = 5000
+sample = 5000
+[meta]
+command = ksdelta
+[system]
+n_t = 16
+[ksdelta]
+significance = 0.01
+"""
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_ini(text)
+        assert err.value.errors == ["unknown key [DEFAULT] sample"]
+        cfg = ExperimentConfig.from_ini(text.replace("sample = 5000\n", ""))
+        assert cfg.ks_samples == 5000 and cfg.n_t == 16
+
+    def test_every_field_has_one_key(self):
+        names = [f.name for f in fields(ExperimentConfig)]
+        attrs = [attr for _, _, _, attr in INI_KEYS]
+        keys = [(section, key) for section, key, _, _ in INI_KEYS]
+        assert sorted(attrs) == sorted(names)
+        assert len(set(keys)) == len(keys)
 
     def test_every_preset_parses(self):
         for name in PRESETS:
@@ -246,14 +294,23 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestGolden:
-    """The fast `ci-small-*` presets reproduce their committed CSVs byte for
-    byte; a change that moves any of them regenerates the file and says why."""
+    """The fast `ci-small-*`, `fig8` and `fig11` presets reproduce their
+    committed CSVs byte for byte; a change that moves any of them
+    regenerates the file and says why."""
 
-    @pytest.mark.parametrize("command", ["ber", "uncoded", "capacity", "flops", "ksdelta"])
-    def test_preset_csv_unchanged(self, command, tmp_path):
+    @pytest.mark.parametrize(
+        "preset",
+        [
+            "ci-small-ber", "ci-small-uncoded", "ci-small-capacity",
+            "ci-small-flops", "ci-small-ksdelta", "fig8", "fig11",
+        ],
+        ids=lambda preset: preset.removeprefix("ci-small-"),
+    )
+    def test_preset_csv_unchanged(self, preset, tmp_path):
+        command = ExperimentConfig.from_ini(preset_text(preset)).command
         out = tmp_path / "out.csv"
-        assert main([command, "--preset", f"ci-small-{command}", "--quiet", "--out", str(out)]) == 0
-        assert out.read_bytes() == (GOLDEN / f"ci-small-{command}.csv").read_bytes()
+        assert main([command, "--preset", preset, "--quiet", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / f"{preset}.csv").read_bytes()
 
 
 class TestCliSurface:

@@ -224,11 +224,11 @@ class TestRateLowering:
         f = build_field(8)
         spec = build_code_spec(300, 3, f, seed=21)
         assert spec.rate == Fraction(1, 3)
-        assert spec.n_bits == 2400
+        assert spec.n_transmit_symbols == 300
         low = lower_rate(spec, Fraction(1, 6))
         assert low.repeat_factor == 2
         assert low.rate == Fraction(1, 6)
-        assert low.n_bits == 4800
+        assert low.n_transmit_symbols == 600
         assert low.k_bits == spec.k_bits == 800
 
     def test_identity_when_target_equals_base(self):

@@ -40,8 +40,8 @@ def full_channel_priors(cfg, n, rng):
     """Raw channel priors drawn through a full float32 H per use, in the
     RNG order of the batched MMSE and exact-MF sampler."""
     per_use = cfg.n_t // cfg.m
-    const = gray_constellation(2, symbol_energy=cfg.es / cfg.n_t)
-    sigma2 = snr_to_noise(cfg.gamma0_db, cfg.es)
+    const = gray_constellation(2, symbol_energy=1 / cfg.n_t)
+    sigma2 = snr_to_noise(cfg.gamma0_db)
     uses = -(-n // per_use)
     max_batch = max(1, (1 << 21) // (cfg.n_t * cfg.n_r))
     half = np.float32(np.sqrt(2) / 2)
@@ -57,21 +57,21 @@ def full_channel_priors(cfg, n, rng):
         y = np.complex64(const.points[0]) * h.sum(axis=2)
         y.real += noise_scale * rng.standard_normal((b, cfg.n_r), dtype=np.float32)
         y.imag += noise_scale * rng.standard_normal((b, cfg.n_r), dtype=np.float32)
-        blocks.append(soft_detect(cfg.detector, h, y, sigma2, const, cfg.es))
+        blocks.append(soft_detect(cfg.detector, h, y, sigma2, const))
     block = np.concatenate([b.reshape(-1, const.size) for b in blocks])
     return symbol_priors(block, cfg.field)[:n]
 
 
 def per_use_priors(cfg, uses, rng):
     """Raw channel priors of the zero codeword, one float64 H per use."""
-    const = gray_constellation(2, symbol_energy=cfg.es / cfg.n_t)
-    sigma2 = snr_to_noise(cfg.gamma0_db, cfg.es)
+    const = gray_constellation(2, symbol_energy=1 / cfg.n_t)
+    sigma2 = snr_to_noise(cfg.gamma0_db)
     s = np.full(cfg.n_t, const.points[0])
     blocks = []
     for _ in range(uses):
         h = sample_iid(cfg.n_t, cfg.n_r, rng)
         y = transmit(h, s, sigma2, rng)
-        blocks.append(soft_detect(cfg.detector, h, y, sigma2, const, cfg.es))
+        blocks.append(soft_detect(cfg.detector, h, y, sigma2, const))
     return symbol_priors(np.concatenate(blocks), cfg.field)
 
 
@@ -319,9 +319,10 @@ class TestThreshold:
             gamma0_db=5.0, step_db=1.0, max_iterations=40, ensemble_size=800
         )
         res = find_threshold(cfg, seed=2)
+        decoded = [row["gamma_db"] for row in res.trajectory if row["decoded"]]
         assert res.trajectory[-1]["decoded"] is False
-        assert res.converged_points
-        assert res.threshold_db == pytest.approx(res.converged_points[-1])
+        assert decoded
+        assert res.threshold_db == pytest.approx(decoded[-1])
         assert res.threshold_db == pytest.approx(
             res.trajectory[-1]["gamma_db"] + cfg.step_db
         )
