@@ -186,6 +186,7 @@ class ExperimentConfig:
                 errors.append(
                     f"2N = {2 * self.n_symbols} not divisible by d_c = {self.d_c}"
                 )
+        if self.command == "ber":
             if self.repeat_factor < 1:
                 errors.append("repeat_factor must be >= 1")
             if self.decoder_iterations < 1:
@@ -204,6 +205,11 @@ class ExperimentConfig:
                 if not 0 <= r < 1:
                     errors.append(f"capacity rho {r} outside [0, 1)")
         if self.command == "threshold":
+            if len(self.detectors) > 1:
+                extra = ", ".join(self.detectors[1:])
+                errors.append(
+                    f"threshold runs one detector kind; drop {extra} from [detector] kind"
+                )
             if self.modulation != 2:
                 errors.append("density evolution supports BPSK only")
             if self.de_ensemble_size < 10_000:
@@ -265,13 +271,11 @@ class ExperimentConfig:
         """Deterministic provenance lines emitted at the top of every CSV."""
         from nbmimo.galois import DEFAULT_PRIMITIVE_POLY
 
-        meta = {
-            "command": self.command,
-            "master_seed": self.master_seed,
-            "n_t": self.n_t,
-            "n_r": self.n_r,
-            "modulation": self.modulation,
-        }
+        meta = {"command": self.command, "master_seed": self.master_seed}
+        # The flop table sweeps [flops] n_r and reads neither antenna count.
+        if self.command != "flops":
+            meta.update({"n_t": self.n_t, "n_r": self.n_r})
+        meta["modulation"] = self.modulation
         if self.command in ("ber", "threshold"):
             meta.update(
                 {
@@ -279,12 +283,13 @@ class ExperimentConfig:
                     "field_poly": hex(DEFAULT_PRIMITIVE_POLY[self.m]),
                     "n_symbols": self.n_symbols,
                     "d_c": self.d_c,
-                    "construction_seed": self.construction_seed,
                 }
             )
         if self.command == "ber":
             meta.update(
                 {
+                    # Density evolution builds no code.
+                    "construction_seed": self.construction_seed,
                     "fading": self.fading,
                     "repeat_factor": self.repeat_factor,
                     "rate": str(self.rate),

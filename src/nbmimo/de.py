@@ -11,13 +11,13 @@ average Shannon entropy, in base 2^m, tracks the remaining ambiguity; an
 SNR decodes once the entropy falls below the stopping level.  Descending
 in fixed dB steps, the threshold is the last SNR that decoded.
 
-Under the simplified matched filter the channel priors are drawn from a
-sufficient statistic: every stream's estimate h_k^H y / N_r depends on H
-only through g = sum_j h_j and y, and given (g, y) the N_t projections
-are (g/N_t)^H y plus i.i.d. CN(0, ||y||^2) draws with their mean removed.
-That holds for i.i.d. Rayleigh fading with perfect CSI, the only channel
-density evolution models; the MMSE and exact-MF kinds draw a full H, a
-batch of uses at a time.
+Under the simplified matched filter the channel priors come from
+`detect.mf_simplified_samples`, the sampler the coded sweep uses too: it
+draws the estimates from a sufficient statistic and never forms H.
+Density evolution calls it for the channel it models, i.i.d. Rayleigh
+fading with perfect CSI; the sampler also covers Kronecker correlation
+and estimation error, which no DeConfig setting selects.  The MMSE and
+exact-MF kinds draw a full H, a batch of uses at a time.
 
 Only BPSK supports the zero-codeword trick: rotational symmetry fails for
 larger QAM alphabets, so those configurations are rejected.
@@ -32,7 +32,7 @@ from scipy.special import entr
 
 from nbmimo.channel import gray_constellation, snr_to_noise
 from nbmimo.decoder import MSG_FLOOR, fwht
-from nbmimo.detect import DETECTORS, mf_soft, soft_detect, symbol_priors
+from nbmimo.detect import DETECTORS, mf_simplified_samples, soft_detect, symbol_priors
 from nbmimo.galois import FieldTable, build_field
 
 
@@ -97,55 +97,22 @@ def ensemble_entropy(ensemble: np.ndarray, field: FieldTable) -> float:
     return float(entr(p).sum(axis=1).mean() / (np.log(2) * field.m))
 
 
-def _mf_simplified_estimates(
-    n_t: int,
-    n_r: int,
-    point0: complex,
-    sigma2_n: float,
-    b: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Simplified-MF estimates s_hat = H^H y / N_r of b zero-codeword uses.
-
-    Drawn from the sufficient statistic (g, y), g = sum_j h_j, never from
-    H itself; exact in joint distribution over the N_t streams of a use
-    for i.i.d. CN(0, 1) fading (see `_channel_prior_samples`).
-    """
-    half = np.sqrt(0.5)
-    g = rng.standard_normal((b, n_r)) + 1j * rng.standard_normal((b, n_r))
-    g *= np.sqrt(n_t) * half
-    y = point0 * g
-    if sigma2_n > 0:
-        y += np.sqrt(sigma2_n) * (
-            rng.standard_normal((b, n_r)) + 1j * rng.standard_normal((b, n_r))
-        )
-    z = rng.standard_normal((b, n_t)) + 1j * rng.standard_normal((b, n_t))
-    z *= half * np.linalg.norm(y, axis=1, keepdims=True)
-    common = np.sum(g.conj() * y, axis=1, keepdims=True) / n_t
-    return (common + z - z.mean(axis=1, keepdims=True)) / n_r
-
-
 def _channel_prior_samples(cfg: DeConfig, n: int, rng: np.random.Generator) -> np.ndarray:
     """n independent raw symbol priors from the equivalent channel.
 
     Transmits the zero codeword: every antenna carries the label-0 point
-    a, so y = a g + n with g = sum_j h_j.  Each channel use yields n_t/q
+    p0, so y = p0 g + n with g = sum_j h_j.  Each channel use yields n_t/q
     coded-symbol priors.  MMSE and exact MF take a batch of uses on the
     leading axis of one `soft_detect` call, with its fading and noise
     drawn in single precision (the detector statistics are far above
     float32 resolution).
 
-    Simplified MF needs only h_k^H y for every stream k, and never draws
-    H.  The columns h_k are i.i.d. CN(0, I_{N_r}), so g ~ CN(0, N_t I)
-    and, given g, h_k = g/N_t + (w_k - mean_j w_j) with w_k i.i.d.
-    CN(0, I) independent of g and of the noise.  Hence
-    h_k^H y = (g/N_t)^H y + z_k - mean_j z_j, where z_k = w_k^H y is,
-    given y, i.i.d. CN(0, ||y||^2) over the streams.  Drawing (g, n, z)
-    in double precision costs O(N_t + N_r) normals per use instead of
-    O(N_t N_r), and the estimates have the joint law of the full-H
-    pipeline.  The argument needs i.i.d. columns and the detector using
-    the true H: correlation, estimation error or exact-MF norms would
-    break it, but density evolution models none of them.
+    Simplified MF draws through `mf_simplified_samples` with s = p0 1, no
+    correlation and no estimation error (A = B = I, sigma_e = 0).  Then
+    W u = p0 g, the common term u (W u)^H y / ||u||^2 is (g/N_t)^H y, and
+    P z removes the mean of z over the streams: O(N_t + N_r)
+    double-precision normals per use, drawn in the order (g, n, z),
+    instead of O(N_t N_r).
     """
     field = cfg.field
     q = field.m  # BPSK: one bit per modulated symbol
@@ -166,9 +133,8 @@ def _channel_prior_samples(cfg: DeConfig, n: int, rng: np.random.Generator) -> n
         b = min(max_batch, uses_left)
         uses_left -= b
         if cfg.detector == "mf-simplified":
-            s_hat = _mf_simplified_estimates(cfg.n_t, cfg.n_r, point0, sigma2_n, b, rng)
-            # mf_sinr's simplified-mode constant Delta / 2 = sigma_n^2 / N_r.
-            block = mf_soft(s_hat, sigma2_n / cfg.n_r, const)
+            s = np.full((b, cfg.n_t), point0)
+            block = mf_simplified_samples(s, cfg.n_r, sigma2_n, rng, constellation=const)
         else:
             shape = (b, cfg.n_r, cfg.n_t)
             h = np.empty(shape, dtype=np.complex64)

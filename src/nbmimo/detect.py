@@ -14,11 +14,13 @@ Two detector families are provided:
   stream-independent constant 2 sigma_n^2 / N_r.  The Gaussian model is
   an assumption about the interference-plus-noise term s_hat_k - s_k
   itself (`mf_interference_samples` draws it); Delta_k, being a power, is
-  positive and skewed.
+  positive and skewed.  `mf_simplified_samples` draws the simplified
+  estimates of per-use fading, correlated or not, with or without
+  estimation error, from a sufficient statistic instead of H.
 
 `soft_detect` maps a detector kind (one of `DETECTORS`) to its per-stream
-likelihood rows; every consumer (coded and uncoded sweeps, density
-evolution) detects through it.  Every detector takes leading batch axes,
+likelihood rows; every consumer that draws H (coded and uncoded sweeps,
+density evolution) detects through it.  Every detector takes leading batch axes,
 h of shape (..., N_r, N_t) and y of shape (..., N_r), and gives the same
 bits as one call per channel use.
 
@@ -148,6 +150,68 @@ def mf_soft(s_hat: np.ndarray, sigma2_k, constellation) -> np.ndarray:
     diff = s_hat[..., None] - constellation.points
     log_lik = -(np.abs(diff) ** 2) / (2.0 * sigma2_k[..., None])
     return _normalize_rows(log_lik)
+
+
+def mf_simplified_samples(
+    s: np.ndarray,
+    n_r: int,
+    sigma2_n: float,
+    rng: np.random.Generator,
+    sigma2_e: float = 0.0,
+    corr=None,
+    constellation=None,
+) -> np.ndarray:
+    """Simplified-MF estimates (H + E)^H y / N_r of b uses, drawn without H.
+
+    `s` holds one transmit vector per row, shape (b, N_t); every use has
+    its own channel H = A W B with W i.i.d. CN(0, 1), A = R_r^{1/2} and
+    B = R_t^{1/2} from `corr` (identity when None), y = H s + n, and a
+    receiver estimate H + E with E i.i.d. CN(0, sigma2_e).  Given a
+    `constellation`, the result is the `mf_soft` rows with the constant
+    sigma_n^2 / N_r instead.
+
+    The law.  With u = B s, a = W u is CN(0, ||u||^2 I) and y = A a + n.
+    Then (H + E)^H y = B W^H v + E^H y with v = A y.  Given y, E^H y is
+    CN(0, sigma2_e ||y||^2 I), independent of the rest.  W splits into
+    a u^H / ||u||^2 and W P with P = I - u u^H / ||u||^2.  The rows of W
+    are i.i.d. CN(0, I), so W P and a are jointly circular Gaussian and
+    uncorrelated (P u = 0), hence independent; given (a, n),
+    W^H v = u (a^H v) / ||u||^2 + P z with z ~ CN(0, ||v||^2 I).  A and B
+    are real symmetric, so H^H = B W^H A.  Drawing (a, n, z, e) in that
+    order costs four matrix-vector products and O(N_t + N_r) normals per
+    use, instead of N_t N_r normals and two O(n^3) products, and the
+    estimates have the joint law over the streams of the full-H pipeline.
+    It needs a fresh H per use and the constant 1/N_r weights: per-frame
+    fading, exact MF and MMSE need H itself.
+    """
+    b, n_t = s.shape
+    half = np.sqrt(0.5)
+    u = s if corr is None else s @ corr.sqrt_t  # rows of B s; B is symmetric
+    u_norm2 = np.sum(np.abs(u) ** 2, axis=1, keepdims=True)
+    a = rng.standard_normal((b, n_r)) + 1j * rng.standard_normal((b, n_r))
+    a *= half * np.sqrt(u_norm2)
+    y = a if corr is None else a @ corr.sqrt_r
+    if sigma2_n > 0:
+        y = y + np.sqrt(sigma2_n) * (
+            rng.standard_normal((b, n_r)) + 1j * rng.standard_normal((b, n_r))
+        )
+    v = y if corr is None else y @ corr.sqrt_r
+    z = rng.standard_normal((b, n_t)) + 1j * rng.standard_normal((b, n_t))
+    z *= half * np.linalg.norm(v, axis=1, keepdims=True)
+    # W^H v = z + u (a^H v - u^H z) / ||u||^2, which applies P to z.
+    along_u = np.sum(a.conj() * v, axis=1, keepdims=True)
+    along_u -= np.sum(u.conj() * z, axis=1, keepdims=True)
+    est = z + u * (along_u / u_norm2)
+    if corr is not None:
+        est = est @ corr.sqrt_t
+    if sigma2_e > 0:
+        e = rng.standard_normal((b, n_t)) + 1j * rng.standard_normal((b, n_t))
+        est += e * (np.sqrt(sigma2_e / 2) * np.linalg.norm(y, axis=1, keepdims=True))
+    s_hat = est / n_r
+    if constellation is None:
+        return s_hat
+    # mf_sinr's simplified-mode constant Delta / 2.
+    return mf_soft(s_hat, sigma2_n / n_r, constellation)
 
 
 def soft_detect(

@@ -133,7 +133,6 @@ modulation = 2
 m = 8
 n_symbols = 300
 d_c = 3
-construction_seed = 104
 [detector]
 kind = mf-simplified
 [de]
@@ -304,7 +303,6 @@ modulation = 2
 m = 8
 n_symbols = 48
 d_c = 3
-construction_seed = 11
 [detector]
 kind = mf-simplified
 [de]

@@ -89,6 +89,31 @@ gamma0_db = -3
         with pytest.raises(ConfigError, match="10\\^4"):
             ExperimentConfig.from_ini(text)
 
+    def test_threshold_takes_one_detector_kind(self):
+        # Density evolution runs one detector; the extra kinds would be
+        # dropped without a word.  [code] repeat_factor is read only by
+        # coded sweeps, so the threshold check ignores it.
+        text = """
+[meta]
+command = threshold
+[code]
+repeat_factor = 0
+[detector]
+kind = mf-simplified, mmse, mf-exact
+[de]
+ensemble_size = 10000
+repeat_factors = 1
+gamma0_db = -3
+"""
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_ini(text)
+        assert err.value.errors == [
+            "threshold runs one detector kind; drop mmse, mf-exact from [detector] kind"
+        ]
+        cfg = ExperimentConfig.from_ini(text.replace(", mmse, mf-exact", ""))
+        assert cfg.detectors == ["mf-simplified"]
+        assert "construction_seed" not in cfg.metadata()
+
     def test_spectral_efficiency_bookkeeping(self):
         cfg = ExperimentConfig(n_t=200, modulation=2, n_symbols=300, d_c=4)
         assert cfg.rate.numerator == 1 and cfg.rate.denominator == 2
@@ -278,6 +303,46 @@ class TestRunners:
         assert per_fe == pytest.approx(17.52)
         assert round(per_fe) == 18
         assert ber == pytest.approx(1752 / (800 * 300))
+
+    def test_coded_simplified_mf_draws_no_channel_matrix(self, monkeypatch):
+        # Under per-use fading, coded simplified-MF frames come from
+        # mf_simplified_samples, with correlation and estimation error;
+        # per-frame fading still draws H.
+        import nbmimo.runner as runner
+
+        def no_channel(*args, **kwargs):
+            raise AssertionError("drew a channel matrix")
+
+        cfg = ExperimentConfig.from_ini(preset_text("ci-small-ber"))
+        cfg.detectors = ["mf-simplified"]
+        cfg.rho_t = cfg.rho_r = 0.3
+        cfg.est_error_vars = [0.1]
+        cfg.gamma_db = [10.0]
+        cfg.max_frames = 3
+        monkeypatch.setattr(runner, "sample_iid", no_channel)
+        rows, _ = run_command(cfg)
+        assert rows[0].frames == 3
+        cfg.fading = "per-frame"
+        with pytest.raises(AssertionError, match="drew a channel matrix"):
+            run_command(cfg)
+
+    def test_uncoded_bpsk_matched_filters_share_each_use(self):
+        # The uncoded link draws H for every detector, so for BPSK the exact
+        # and simplified MF estimates differ by a positive per-stream scale
+        # and slice alike: their rows agree field for field.
+        cfg = ExperimentConfig(
+            command="uncoded", n_t=8, n_r=8, modulation=2,
+            detectors=["mf-exact", "mf-simplified"], rho_t=0.3, rho_r=0.3,
+            est_error_vars=[0.0, 0.1], gamma_db=[-4.0, 6.0],
+            min_frame_errors=20, max_frames=300,
+        )
+        rows = run_uncoded(cfg)
+        exact = [r for r in rows if r.detector == "mf-exact"]
+        simplified = [r for r in rows if r.detector == "mf-simplified"]
+        assert len(exact) == len(simplified) == 4
+        names = [f.name for f in fields(exact[0]) if f.name != "detector"]
+        for a, b in zip(exact, simplified):
+            assert [getattr(a, n) for n in names] == [getattr(b, n) for n in names]
 
     def test_per_frame_fading_runs(self):
         cfg = ExperimentConfig.from_ini(preset_text("ci-small-ber"))

@@ -15,7 +15,14 @@ from nbmimo.de import (
     run_point,
 )
 from nbmimo.decoder import MSG_FLOOR, fwht
-from nbmimo.detect import mf_detect, mf_sinr, mf_soft, soft_detect, symbol_priors
+from nbmimo.detect import (
+    mf_detect,
+    mf_simplified_samples,
+    mf_sinr,
+    mf_soft,
+    soft_detect,
+    symbol_priors,
+)
 from nbmimo.galois import build_field
 
 
@@ -166,6 +173,32 @@ class TestInitialEnsemble:
 
 
 class TestMfSimplifiedSampler:
+    @pytest.mark.parametrize("n_t,n_r,gamma_db", [(16, 16, -2.0), (8, 24, 3.0), (24, 8, 60.0)])
+    def test_uncorrelated_perfect_csi_is_sum_of_columns_formula(self, n_t, n_r, gamma_db):
+        # With A = B = I, sigma_e = 0 and every stream sending the BPSK
+        # point a, the shared sampler is DE's sum-of-columns formula: with
+        # g = sum_j h_j ~ CN(0, N_t I), y = a g + n and z ~ CN(0, ||y||^2 I),
+        # s_hat = ((g/N_t)^H y + z - mean(z)) / N_r, drawn in the order
+        # (g, n, z).  Equal to rounding.
+        uses = 300
+        s2 = snr_to_noise(gamma_db)
+        a = np.sqrt(1 / n_t)
+        got = mf_simplified_samples(
+            np.full((uses, n_t), a), n_r, s2, np.random.default_rng(29)
+        )
+        rng = np.random.default_rng(29)
+        half = np.sqrt(0.5)
+        g = rng.standard_normal((uses, n_r)) + 1j * rng.standard_normal((uses, n_r))
+        g *= np.sqrt(n_t) * half
+        y = a * g + np.sqrt(s2) * (
+            rng.standard_normal((uses, n_r)) + 1j * rng.standard_normal((uses, n_r))
+        )
+        z = rng.standard_normal((uses, n_t)) + 1j * rng.standard_normal((uses, n_t))
+        z *= half * np.linalg.norm(y, axis=1, keepdims=True)
+        common = np.sum(g.conj() * y, axis=1, keepdims=True) / n_t
+        want = (common + z - z.mean(axis=1, keepdims=True)) / n_r
+        assert np.max(np.abs(got - want)) < 1e-12
+
     @pytest.mark.parametrize("n_t,n_r", [(16, 16), (8, 24), (24, 8)])
     def test_stream_statistic_moments(self, n_t, n_r):
         # x_k = Re(h_k^H y) for the zero codeword a = 1/sqrt(N_t) per
@@ -176,8 +209,8 @@ class TestMfSimplifiedSampler:
         uses = 40_000
         s2 = snr_to_noise(-2.0)
         a = np.sqrt(1 / n_t)
-        s_hat = de._mf_simplified_estimates(
-            n_t, n_r, a, s2, uses, np.random.default_rng(21)
+        s_hat = mf_simplified_samples(
+            np.full((uses, n_t), a), n_r, s2, np.random.default_rng(21)
         )
         x = np.real(s_hat[:, :2]) * n_r
         x0, x1 = x[:, 0] - a * n_r, x[:, 1] - a * n_r
@@ -201,8 +234,8 @@ class TestMfSimplifiedSampler:
         uses = 5000
         s2 = snr_to_noise(-2.0)
         a = np.sqrt(1 / n_t)
-        fast = de._mf_simplified_estimates(
-            n_t, n_r, a, s2, uses, np.random.default_rng(22)
+        fast = mf_simplified_samples(
+            np.full((uses, n_t), a), n_r, s2, np.random.default_rng(22)
         )
         full = full_channel_mf_estimates(n_t, n_r, s2, uses, np.random.default_rng(23))
         for stat in (

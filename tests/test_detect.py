@@ -4,11 +4,20 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from nbmimo.channel import gray_constellation, sample_iid, snr_to_noise, transmit
+from nbmimo.channel import (
+    CorrelationSpec,
+    apply_correlation,
+    gray_constellation,
+    perturb_estimate,
+    sample_iid,
+    snr_to_noise,
+    transmit,
+)
 from nbmimo.detect import (
     DETECTORS,
     mf_detect,
     mf_interference_samples,
+    mf_simplified_samples,
     mf_sinr,
     mf_soft,
     mmse_soft,
@@ -247,6 +256,111 @@ class TestMfSinr:
         samples = mf_interference_samples(2, 2, -2.0, 100_000, substream(9901, 0))
         res = ks_gaussian_test(samples.real, significance=0.001)
         assert not res.passed, f"KS p = {res.p_value:.3g} at 2x2"
+
+
+# (n_t, n_r, rho_t, rho_r, sigma2_e) of the simplified-MF sampler checks.
+SAMPLER_SYSTEMS = [
+    (8, 6, 0.5, 0.3, 0.2),
+    (6, 10, 0.7, 0.0, 0.0),
+    (12, 12, 0.3, 0.3, 0.1),
+]
+
+
+def qpsk_vector(n_t):
+    """A fixed QPSK transmit vector with every label, E_s = 1."""
+    return gray_constellation(4, symbol_energy=1 / n_t).points[np.arange(n_t) % 4]
+
+
+def pipeline_mf_simplified(s, n_r, sigma2_n, sigma2_e, corr, uses, rng):
+    """Simplified-MF estimates of s through a drawn H per use, in the coded
+    sweep's order: sample_iid, apply_correlation, perturb_estimate,
+    transmit, mf_detect on the estimate."""
+    out = np.empty((uses, len(s)), dtype=complex)
+    for i in range(uses):
+        h = apply_correlation(sample_iid(len(s), n_r, rng), corr)
+        h_est = perturb_estimate(h, sigma2_e, rng)
+        out[i] = mf_detect(h_est, transmit(h, s, sigma2_n, rng), mode="simplified")
+    return out
+
+
+class TestMfSimplifiedSamples:
+    @pytest.mark.parametrize("n_t,n_r,rho_t,rho_r,sigma2_e", SAMPLER_SYSTEMS)
+    def test_matches_full_channel_pipeline_in_law(self, n_t, n_r, rho_t, rho_r, sigma2_e):
+        # Two-sample KS tests, alpha = 0.001 each, one value per use so the
+        # samples are independent.  The stream difference, the cross-stream
+        # product and |s_hat_1| probe the joint law over the streams.
+        uses = 40_000
+        corr = CorrelationSpec(rho_t, rho_r, n_t, n_r)
+        s = qpsk_vector(n_t)
+        sigma2 = snr_to_noise(0.0)
+        got = mf_simplified_samples(
+            np.tile(s, (uses, 1)), n_r, sigma2, np.random.default_rng(91),
+            sigma2_e, corr,
+        )
+        want = pipeline_mf_simplified(
+            s, n_r, sigma2, sigma2_e, corr, uses, np.random.default_rng(92)
+        )
+        for name, stat in (
+            ("Re s_0", lambda e: e[:, 0].real),
+            ("Im s_0", lambda e: e[:, 0].imag),
+            ("Re(s_0 - s_1)", lambda e: (e[:, 0] - e[:, 1]).real),
+            ("Re(s_0 conj s_1)", lambda e: (e[:, 0] * e[:, 1].conj()).real),
+            ("|s_1|", lambda e: np.abs(e[:, 1])),
+        ):
+            p = stats.ks_2samp(stat(got), stat(want)).pvalue
+            assert p > 1e-3, f"{name}: KS p = {p:.3g}"
+
+    @pytest.mark.parametrize("n_t,n_r,rho_t,rho_r,sigma2_e", SAMPLER_SYSTEMS)
+    def test_moments_match_closed_form(self, n_t, n_r, rho_t, rho_r, sigma2_e):
+        # With u = B s, N_r s_hat has mean N_r R_t s and covariance
+        # c1 R_t + c2 I, where c1 = tr(R_r^2) ||u||^2 + 2 sigma_n^2 N_r comes
+        # from B W^H A y and c2 = sigma_e^2 N_r (||u||^2 + 2 sigma_n^2) from
+        # E^H y (fourth moments of Gaussian W).  Each real and imaginary mean
+        # and each E|w^H (s_hat - R_t s)|^2 lies within 4 standard errors.
+        # The directions are stream 0, R_t s (where P acts) and R_t's
+        # weakest eigenvector (where the scale of E^H y shows most).
+        uses = 200_000
+        corr = CorrelationSpec(rho_t, rho_r, n_t, n_r)
+        s = qpsk_vector(n_t)
+        sigma2 = snr_to_noise(0.0)
+        got = mf_simplified_samples(
+            np.tile(s, (uses, 1)), n_r, sigma2, np.random.default_rng(93),
+            sigma2_e, corr,
+        )
+        mean = corr.r_t @ s
+        dev = got - mean
+        for part in (dev.real, dev.imag):
+            se = part.std(axis=0, ddof=1) / np.sqrt(uses)
+            assert np.all(np.abs(part.mean(axis=0)) < 4 * se), part.mean(axis=0) / se
+        u2 = np.real(s.conj() @ corr.r_t @ s)
+        c1 = np.trace(corr.r_r @ corr.r_r) * u2 + 2 * sigma2 * n_r
+        c2 = sigma2_e * n_r * (u2 + 2 * sigma2)
+        cov = (c1 * corr.r_t + c2 * np.eye(n_t)) / n_r**2
+        directions = {
+            "stream 0": np.eye(n_t)[0],
+            "R_t s": mean / np.linalg.norm(mean),
+            "weakest": np.linalg.eigh(corr.r_t)[1][:, 0],
+        }
+        for name, w in directions.items():
+            power = np.abs(dev @ w.conj()) ** 2
+            se = power.std(ddof=1) / np.sqrt(uses)
+            want = np.real(w.conj() @ cov @ w)
+            assert abs(power.mean() - want) < 4 * se, (name, power.mean(), want, se)
+
+    def test_rows_are_mf_soft_of_the_estimates(self):
+        # The likelihood rows use mf_sinr's simplified-mode constant
+        # sigma_n^2 / N_r, on the same draws.
+        corr = CorrelationSpec(0.3, 0.3, 8, 6)
+        s = np.tile(qpsk_vector(8), (5, 1))
+        const = gray_constellation(4, symbol_energy=1 / 8)
+        sigma2 = snr_to_noise(-2.0)
+        rows = mf_simplified_samples(
+            s, 6, sigma2, np.random.default_rng(94), 0.1, corr, constellation=const
+        )
+        est = mf_simplified_samples(s, 6, sigma2, np.random.default_rng(94), 0.1, corr)
+        _, _, sigma2_k = mf_sinr(np.ones((6, 8)), 1.0, 8, sigma2, mode="simplified")
+        assert rows.shape == (5, 8, 4)
+        assert np.array_equal(rows, mf_soft(est, sigma2_k, const))
 
 
 class TestMfSoft:
