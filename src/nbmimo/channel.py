@@ -5,7 +5,9 @@ E[|s_i|^2] = E_s / N_t, and the SNR per receive antenna is
 gamma = E_s / N_0 with N_0 = 2 sigma_n^2 (noise variance sigma_n^2 per real
 component).  Doubly correlated channels follow the Kronecker model
 H = R_r^{1/2} H_iid R_t^{1/2} with exponential correlation matrices
-R(rho)[i, j] = rho^|i - j|.
+R(rho)[i, j] = rho^|i - j| (Loyka, IEEE Comm. Letters 5(9), 2001), drawn
+as L_r H_iid L_t^T with the Cholesky factors L L^T = R.  That is the same
+law: L = R^{1/2} Q with Q orthogonal, and Q_r H_iid Q_t^T is i.i.d.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ class Constellation:
 
 
 # Per-axis Gray maps: position index along the axis for each bit pattern.
-_GRAY_AXIS_2 = np.array([0, 1])            # 1 bit:  0 -> -1, 1 -> +1
 _GRAY_AXIS_4 = np.array([0, 1, 3, 2])      # 2 bits: 00,01,11,10 -> -3,-1,+1,+3
 
 
@@ -110,58 +111,56 @@ def sample_iid(n_t: int, n_r: int, rng: np.random.Generator) -> np.ndarray:
     return (re + 1j * im) / np.sqrt(2)
 
 
-class CorrelationSpec:
-    """Exponential transmit/receive correlation with cached matrix roots.
+def _exponential(rho: float, n: int) -> np.ndarray:
+    idx = np.arange(n)
+    return rho ** np.abs(idx[:, None] - idx[None, :])
 
-    `eig_t` and `eig_r` hold the (clipped) eigenvalues behind `sqrt_t` and
-    `sqrt_r`; capacity draws need only these, so the roots are formed on
-    first use.
-    """
+
+def _exponential_factor(rho: float, n: int) -> np.ndarray:
+    # Closed-form lower Cholesky factor: L[i, 0] = rho^i and
+    # L[i, j] = sqrt(1 - rho^2) rho^(i - j) for 1 <= j <= i.
+    factor = np.tril(_exponential(rho, n))
+    factor[:, 1:] *= np.sqrt(1.0 - rho * rho)
+    return factor
+
+
+def _exponential_eigenvalues(rho: float, n: int) -> np.ndarray:
+    # A full eigh, clipped at zero: eigvalsh differs from it in the last bits.
+    return np.clip(np.linalg.eigh(_exponential(rho, n))[0], 0.0, None)
+
+
+class CorrelationSpec:
+    """Exponential correlation R(rho_t) at the transmitter, R(rho_r) at the
+    receiver: lower Cholesky factors for channel draws and detection, and
+    eigenvalues for capacity draws, each formed on first use."""
 
     def __init__(self, rho_t: float, rho_r: float, n_t: int, n_r: int):
         if not (0 <= rho_t < 1 and 0 <= rho_r < 1):
             raise ValueError("correlation parameters must lie in [0, 1)")
         self.rho_t = rho_t
         self.rho_r = rho_r
-        self.r_t = self._exponential(rho_t, n_t)
-        self.r_r = self._exponential(rho_r, n_r)
-        self.eig_t, self._vec_t = self._eigh(self.r_t)
-        self.eig_r, self._vec_r = self._eigh(self.r_r)
-
-    @staticmethod
-    def _exponential(rho: float, n: int) -> np.ndarray:
-        idx = np.arange(n)
-        return rho ** np.abs(idx[:, None] - idx[None, :])
-
-    @staticmethod
-    def _eigh(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # Eigendecomposition instead of Cholesky so rho -> 1 degrades
-        # gracefully (eigenvalues clipped at zero).
-        w, v = np.linalg.eigh(r)
-        return np.clip(w, 0.0, None), v
-
-    # Each root drops its eigenvectors once formed: a coded sweep would
-    # otherwise hold two more n x n arrays (measured: 11 MB more peak RSS
-    # in a 600x600 correlated sweep).
-    @cached_property
-    def sqrt_t(self) -> np.ndarray:
-        v, self._vec_t = self._vec_t, None
-        return (v * np.sqrt(self.eig_t)) @ v.conj().T
+        self.n_t = n_t
+        self.n_r = n_r
 
     @cached_property
-    def sqrt_r(self) -> np.ndarray:
-        v, self._vec_r = self._vec_r, None
-        return (v * np.sqrt(self.eig_r)) @ v.conj().T
+    def factor_t(self) -> np.ndarray:
+        return _exponential_factor(self.rho_t, self.n_t)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.rho_t == 0 and self.rho_r == 0
+    @cached_property
+    def factor_r(self) -> np.ndarray:
+        return _exponential_factor(self.rho_r, self.n_r)
+
+    @cached_property
+    def eig_t(self) -> np.ndarray:
+        return _exponential_eigenvalues(self.rho_t, self.n_t)
+
+    @cached_property
+    def eig_r(self) -> np.ndarray:
+        return _exponential_eigenvalues(self.rho_r, self.n_r)
 
 
 def apply_correlation(h_iid: np.ndarray, corr: CorrelationSpec) -> np.ndarray:
-    if corr.is_identity:
-        return h_iid
-    return corr.sqrt_r @ h_iid @ corr.sqrt_t
+    return corr.factor_r @ h_iid @ corr.factor_t.T
 
 
 def perturb_estimate(
@@ -190,11 +189,9 @@ def transmit(
     return y
 
 
-def snr_to_noise(gamma_db: float, es: float = 1.0) -> float:
-    """Per-real-component noise variance for an SNR per receive antenna."""
-    if es <= 0:
-        raise ValueError("signal energy must be positive")
-    return es / (2.0 * 10.0 ** (gamma_db / 10.0))
+def snr_to_noise(gamma_db: float) -> float:
+    """Per-real-component noise variance for an SNR per receive antenna (E_s = 1)."""
+    return 1.0 / (2.0 * 10.0 ** (gamma_db / 10.0))
 
 
 def ergodic_capacity(
@@ -219,8 +216,8 @@ def ergodic_capacity(
     Lambda_r^{1/2} W Lambda_t^{1/2}, a diagonal scaling of W, gives the
     capacity the same law as the full product (Tulino & Verdu, Random
     Matrix Theory and Wireless Communications, 2004).  This holds for
-    capacity only; detection needs the eigenvectors (`apply_correlation`).
-    The log det comes from a Cholesky factor of the Gram matrix.
+    capacity only; detection draws H itself (`apply_correlation`).  The
+    log det comes from a Cholesky factor of the Gram matrix.
     """
     if trials < 1:
         raise ValueError("need at least one trial")

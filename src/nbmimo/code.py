@@ -10,7 +10,7 @@ graph decodes unchanged).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -217,7 +217,8 @@ class CodeSpec:
     `info_cols` lists the columns carrying information symbols, `parity_map`
     is the dense P x K matrix giving parity symbols from information
     symbols, and `repeat_coefs` has shape (repeat_factor, N) with the first
-    row fixed to 1 (the plain transmission).
+    row fixed to 1 (the plain transmission); by default it is that row
+    alone.
     """
 
     field: FieldTable
@@ -225,15 +226,16 @@ class CodeSpec:
     info_cols: np.ndarray
     parity_cols: np.ndarray
     parity_map: np.ndarray
-    repeat_factor: int = 1
     repeat_coefs: np.ndarray | None = None
     construction_seed: int | None = None
 
     def __post_init__(self):
         if self.repeat_coefs is None:
-            self.repeat_coefs = np.ones(
-                (self.repeat_factor, self.matrix.n_symbols), dtype=np.int64
-            )
+            self.repeat_coefs = np.ones((1, self.matrix.n_symbols), dtype=np.int64)
+
+    @property
+    def repeat_factor(self) -> int:
+        return len(self.repeat_coefs)
 
     @property
     def n_symbols(self) -> int:
@@ -357,13 +359,4 @@ def lower_rate(spec: CodeSpec, target_rate: Fraction, seed: int | None = None) -
     rng = np.random.default_rng(seed)
     coefs = np.ones((t, spec.n_symbols), dtype=np.int64)
     coefs[1:] = rng.integers(1, spec.field.size, size=(t - 1, spec.n_symbols))
-    return CodeSpec(
-        field=spec.field,
-        matrix=spec.matrix,
-        info_cols=spec.info_cols,
-        parity_cols=spec.parity_cols,
-        parity_map=spec.parity_map,
-        repeat_factor=t,
-        repeat_coefs=coefs,
-        construction_seed=spec.construction_seed,
-    )
+    return replace(spec, repeat_coefs=coefs)

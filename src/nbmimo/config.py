@@ -271,11 +271,13 @@ class ExperimentConfig:
         """Deterministic provenance lines emitted at the top of every CSV."""
         from nbmimo.galois import DEFAULT_PRIMITIVE_POLY
 
-        meta = {"command": self.command, "master_seed": self.master_seed}
-        # The flop table sweeps [flops] n_r and reads neither antenna count.
+        meta = {"command": self.command}
+        # The flop table reads neither the seed nor the antenna counts (it
+        # sweeps [flops] n_r), and capacity draws no symbols.
         if self.command != "flops":
-            meta.update({"n_t": self.n_t, "n_r": self.n_r})
-        meta["modulation"] = self.modulation
+            meta.update(master_seed=self.master_seed, n_t=self.n_t, n_r=self.n_r)
+        if self.command != "capacity":
+            meta["modulation"] = self.modulation
         if self.command in ("ber", "threshold"):
             meta.update(
                 {

@@ -164,38 +164,38 @@ def mf_simplified_samples(
     """Simplified-MF estimates (H + E)^H y / N_r of b uses, drawn without H.
 
     `s` holds one transmit vector per row, shape (b, N_t); every use has
-    its own channel H = A W B with W i.i.d. CN(0, 1), A = R_r^{1/2} and
-    B = R_t^{1/2} from `corr` (identity when None), y = H s + n, and a
-    receiver estimate H + E with E i.i.d. CN(0, sigma2_e).  Given a
-    `constellation`, the result is the `mf_soft` rows with the constant
-    sigma_n^2 / N_r instead.
+    its own channel H = A W B^T with W i.i.d. CN(0, 1), A = L_r and
+    B = L_t the Cholesky factors of `corr` (identity when None),
+    y = H s + n, and a receiver estimate H + E with E i.i.d.
+    CN(0, sigma2_e).  Given a `constellation`, the result is the `mf_soft`
+    rows with the constant sigma_n^2 / N_r instead.
 
-    The law.  With u = B s, a = W u is CN(0, ||u||^2 I) and y = A a + n.
-    Then (H + E)^H y = B W^H v + E^H y with v = A y.  Given y, E^H y is
+    The law.  With u = B^T s, a = W u is CN(0, ||u||^2 I) and y = A a + n.
+    Then (H + E)^H y = B W^H v + E^H y with v = A^T y.  Given y, E^H y is
     CN(0, sigma2_e ||y||^2 I), independent of the rest.  W splits into
     a u^H / ||u||^2 and W P with P = I - u u^H / ||u||^2.  The rows of W
     are i.i.d. CN(0, I), so W P and a are jointly circular Gaussian and
     uncorrelated (P u = 0), hence independent; given (a, n),
     W^H v = u (a^H v) / ||u||^2 + P z with z ~ CN(0, ||v||^2 I).  A and B
-    are real symmetric, so H^H = B W^H A.  Drawing (a, n, z, e) in that
-    order costs four matrix-vector products and O(N_t + N_r) normals per
-    use, instead of N_t N_r normals and two O(n^3) products, and the
-    estimates have the joint law over the streams of the full-H pipeline.
+    are real, so H^H = B W^H A^T.  Drawing (a, n, z, e) in that order
+    costs four matrix-vector products and O(N_t + N_r) normals per use,
+    instead of N_t N_r normals and two O(n^3) products, and the estimates
+    have the joint law over the streams of the full-H pipeline.
     It needs a fresh H per use and the constant 1/N_r weights: per-frame
     fading, exact MF and MMSE need H itself.
     """
     b, n_t = s.shape
     half = np.sqrt(0.5)
-    u = s if corr is None else s @ corr.sqrt_t  # rows of B s; B is symmetric
+    u = s if corr is None else s @ corr.factor_t  # rows of B^T s
     u_norm2 = np.sum(np.abs(u) ** 2, axis=1, keepdims=True)
     a = rng.standard_normal((b, n_r)) + 1j * rng.standard_normal((b, n_r))
     a *= half * np.sqrt(u_norm2)
-    y = a if corr is None else a @ corr.sqrt_r
+    y = a if corr is None else a @ corr.factor_r.T
     if sigma2_n > 0:
         y = y + np.sqrt(sigma2_n) * (
             rng.standard_normal((b, n_r)) + 1j * rng.standard_normal((b, n_r))
         )
-    v = y if corr is None else y @ corr.sqrt_r
+    v = y if corr is None else y @ corr.factor_r
     z = rng.standard_normal((b, n_t)) + 1j * rng.standard_normal((b, n_t))
     z *= half * np.linalg.norm(v, axis=1, keepdims=True)
     # W^H v = z + u (a^H v - u^H z) / ||u||^2, which applies P to z.
@@ -203,7 +203,7 @@ def mf_simplified_samples(
     along_u -= np.sum(u.conj() * z, axis=1, keepdims=True)
     est = z + u * (along_u / u_norm2)
     if corr is not None:
-        est = est @ corr.sqrt_t
+        est = est @ corr.factor_t.T
     if sigma2_e > 0:
         e = rng.standard_normal((b, n_t)) + 1j * rng.standard_normal((b, n_t))
         est += e * (np.sqrt(sigma2_e / 2) * np.linalg.norm(y, axis=1, keepdims=True))

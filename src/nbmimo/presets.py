@@ -153,8 +153,6 @@ command = flops
 modulation = 2
 [flops]
 n_r = 10, 20, 50, 100, 200, 400, 600, 800, 1000
-[run]
-master_seed = 1
 """,
     # Sensitivity to channel estimation error, 200x200 BPSK, rate 1/3.
     "fig12": """
@@ -192,7 +190,6 @@ command = capacity
 [system]
 n_t = 600
 n_r = 600
-modulation = 2
 [capacity]
 trials = 1000
 rho = 0.0, 0.3, 0.4, 0.5
@@ -277,13 +274,44 @@ gamma_db = 6.0
 [run]
 master_seed = 12
 """,
+    # Correlated full-H MMSE, the simplified-MF sampler with correlation
+    # and estimation error, and the repetition fold.
+    "ci-small-correlated": """
+[meta]
+command = ber
+[system]
+n_t = 16
+n_r = 16
+modulation = 2
+fading = per-use
+[code]
+m = 8
+n_symbols = 48
+d_c = 3
+repeat_factor = 3
+construction_seed = 11
+[detector]
+kind = mmse, mf-simplified
+[channel]
+rho_t = 0.3
+rho_r = 0.3
+est_error_var = 0.0, 0.1
+[decoder]
+max_iterations = 50
+[stop]
+min_frame_errors = 5
+max_frames = 6
+[sweep]
+gamma_db = -8.5
+[run]
+master_seed = 16
+""",
     "ci-small-capacity": """
 [meta]
 command = capacity
 [system]
 n_t = 32
 n_r = 32
-modulation = 2
 [capacity]
 trials = 200
 rho = 0.0, 0.5
@@ -322,8 +350,6 @@ command = flops
 modulation = 2
 [flops]
 n_r = 1, 8, 200
-[run]
-master_seed = 1
 """,
     "ci-small-ksdelta": """
 [meta]

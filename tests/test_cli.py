@@ -326,6 +326,20 @@ class TestRunners:
         with pytest.raises(AssertionError, match="drew a channel matrix"):
             run_command(cfg)
 
+    def test_correlated_coded_sweep_needs_no_eigendecomposition(self, monkeypatch):
+        # Correlated detection uses the closed-form Cholesky factors; only
+        # capacity reads the eigenvalues.
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("called eigh")
+
+        cfg = ExperimentConfig.from_ini(preset_text("ci-small-correlated"))
+        cfg.max_frames = 2
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        rows, _ = run_command(cfg)
+        assert [(r.detector, r.frames) for r in rows] == [
+            ("mmse", 2), ("mmse", 2), ("mf-simplified", 2), ("mf-simplified", 2)
+        ]
+
     def test_uncoded_bpsk_matched_filters_share_each_use(self):
         # The uncoded link draws H for every detector, so for BPSK the exact
         # and simplified MF estimates differ by a positive per-stream scale
@@ -367,7 +381,8 @@ class TestGolden:
         "preset",
         [
             "ci-small-ber", "ci-small-uncoded", "ci-small-capacity",
-            "ci-small-flops", "ci-small-ksdelta", "fig8", "fig11",
+            "ci-small-flops", "ci-small-ksdelta", "ci-small-correlated", "fig8",
+            "fig11",
         ],
         ids=lambda preset: preset.removeprefix("ci-small-"),
     )

@@ -95,7 +95,7 @@ class TestMmseSoft:
         c = gray_constellation(2, symbol_energy=1 / n)
         h = sample_iid(n, n, rng)
         es, gamma_db = 1.0, 5.0
-        sigma2 = snr_to_noise(gamma_db, es)
+        sigma2 = snr_to_noise(gamma_db)
         n0 = 2 * sigma2
         w = mmse_weights(h, es, n, n0)
         truth = rng.integers(0, 2, n)
@@ -266,6 +266,11 @@ SAMPLER_SYSTEMS = [
 ]
 
 
+def exponential_matrix(rho, n):
+    """R(rho)[i, j] = rho^|i - j|, written out entry by entry."""
+    return np.array([[rho ** abs(i - j) for j in range(n)] for i in range(n)])
+
+
 def qpsk_vector(n_t):
     """A fixed QPSK transmit vector with every label, E_s = 1."""
     return gray_constellation(4, symbol_energy=1 / n_t).points[np.arange(n_t) % 4]
@@ -312,9 +317,9 @@ class TestMfSimplifiedSamples:
 
     @pytest.mark.parametrize("n_t,n_r,rho_t,rho_r,sigma2_e", SAMPLER_SYSTEMS)
     def test_moments_match_closed_form(self, n_t, n_r, rho_t, rho_r, sigma2_e):
-        # With u = B s, N_r s_hat has mean N_r R_t s and covariance
+        # With u = B^T s, N_r s_hat has mean N_r R_t s and covariance
         # c1 R_t + c2 I, where c1 = tr(R_r^2) ||u||^2 + 2 sigma_n^2 N_r comes
-        # from B W^H A y and c2 = sigma_e^2 N_r (||u||^2 + 2 sigma_n^2) from
+        # from B W^H A^T y and c2 = sigma_e^2 N_r (||u||^2 + 2 sigma_n^2) from
         # E^H y (fourth moments of Gaussian W).  Each real and imaginary mean
         # and each E|w^H (s_hat - R_t s)|^2 lies within 4 standard errors.
         # The directions are stream 0, R_t s (where P acts) and R_t's
@@ -327,19 +332,20 @@ class TestMfSimplifiedSamples:
             np.tile(s, (uses, 1)), n_r, sigma2, np.random.default_rng(93),
             sigma2_e, corr,
         )
-        mean = corr.r_t @ s
+        r_t, r_r = exponential_matrix(rho_t, n_t), exponential_matrix(rho_r, n_r)
+        mean = r_t @ s
         dev = got - mean
         for part in (dev.real, dev.imag):
             se = part.std(axis=0, ddof=1) / np.sqrt(uses)
             assert np.all(np.abs(part.mean(axis=0)) < 4 * se), part.mean(axis=0) / se
-        u2 = np.real(s.conj() @ corr.r_t @ s)
-        c1 = np.trace(corr.r_r @ corr.r_r) * u2 + 2 * sigma2 * n_r
+        u2 = np.real(s.conj() @ r_t @ s)
+        c1 = np.trace(r_r @ r_r) * u2 + 2 * sigma2 * n_r
         c2 = sigma2_e * n_r * (u2 + 2 * sigma2)
-        cov = (c1 * corr.r_t + c2 * np.eye(n_t)) / n_r**2
+        cov = (c1 * r_t + c2 * np.eye(n_t)) / n_r**2
         directions = {
             "stream 0": np.eye(n_t)[0],
             "R_t s": mean / np.linalg.norm(mean),
-            "weakest": np.linalg.eigh(corr.r_t)[1][:, 0],
+            "weakest": np.linalg.eigh(r_t)[1][:, 0],
         }
         for name, w in directions.items():
             power = np.abs(dev @ w.conj()) ** 2
