@@ -156,6 +156,8 @@ class CorrelationSpec:
 
     @cached_property
     def eig_r(self) -> np.ndarray:
+        if (self.rho_r, self.n_r) == (self.rho_t, self.n_t):
+            return self.eig_t
         return _exponential_eigenvalues(self.rho_r, self.n_r)
 
 

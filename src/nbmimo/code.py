@@ -90,21 +90,6 @@ class SparseParityMatrix:
                     pairs.add((rows[i], rows[j]))
         return False
 
-    # -- plain-text sparse interchange format -----------------------------
-    def to_text(self) -> str:
-        d_c = int(self.row_weights[0]) if len(set(self.row_weights)) == 1 else 0
-        lines = [f"{self.m} {self.n_checks} {self.n_symbols} {d_c}"]
-        for r, c, h in zip(self.edge_row, self.edge_col, self.edge_coef):
-            lines.append(f"{r} {c} {h}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "SparseParityMatrix":
-        rows = text.strip().splitlines()
-        m, p, n, _ = (int(t) for t in rows[0].split())
-        edges = [tuple(int(t) for t in line.split()) for line in rows[1:]]
-        return cls(m, p, n, edges)
-
 
 def syndrome(x, matrix: SparseParityMatrix, field: FieldTable) -> np.ndarray:
     """A x^T over GF(2^m); zero vector iff x is a codeword."""

@@ -3,7 +3,7 @@
 A config file (or preset) holds one experiment.  Sections and keys:
 
     [meta]     command = ber | uncoded | capacity | threshold | flops | ksdelta
-    [system]   n_t, n_r, modulation, fading (per-use | per-frame)
+    [system]   n_t, n_r, modulation
     [code]     m, n_symbols, d_c, repeat_factor, construction_seed
     [detector] kind (comma list of mmse | mf-exact | mf-simplified)
     [channel]  rho_t, rho_r, est_error_var (comma list)
@@ -60,7 +60,6 @@ INI_KEYS = (
     ("system", "n_t", int, "n_t"),
     ("system", "n_r", int, "n_r"),
     ("system", "modulation", int, "modulation"),
-    ("system", "fading", str.strip, "fading"),
     ("code", "m", int, "m"),
     ("code", "n_symbols", int, "n_symbols"),
     ("code", "d_c", int, "d_c"),
@@ -96,7 +95,6 @@ class ExperimentConfig:
     n_t: int = 200
     n_r: int = 200
     modulation: int = 2
-    fading: str = "per-use"
     # code
     m: int = 8
     n_symbols: int = 300
@@ -155,8 +153,6 @@ class ExperimentConfig:
             errors.append(f"modulation must be 2, 4, or 16, got {self.modulation}")
         if self.n_t < 1 or self.n_r < 1:
             errors.append("antenna counts must be positive")
-        if self.fading not in ("per-use", "per-frame"):
-            errors.append(f"fading must be per-use or per-frame, got {self.fading!r}")
         for kind in self.detectors:
             if kind not in DETECTORS:
                 errors.append(f"unknown detector {kind!r}")
@@ -292,7 +288,6 @@ class ExperimentConfig:
                 {
                     # Density evolution builds no code.
                     "construction_seed": self.construction_seed,
-                    "fading": self.fading,
                     "repeat_factor": self.repeat_factor,
                     "rate": str(self.rate),
                     "spectral_efficiency": f"{self.spectral_efficiency:.6g}",
@@ -306,7 +301,6 @@ class ExperimentConfig:
         if self.command == "uncoded":
             meta.update(
                 {
-                    "fading": self.fading,
                     "rho_t": self.rho_t,
                     "rho_r": self.rho_r,
                     "min_frame_errors": self.min_frame_errors,

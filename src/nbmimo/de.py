@@ -12,8 +12,9 @@ SNR decodes once the entropy falls below the stopping level.  Descending
 in fixed dB steps, the threshold is the last SNR that decoded.
 
 Under the simplified matched filter the channel priors come from
-`detect.mf_simplified_samples`, the sampler the coded sweep uses too: it
-draws the estimates from a sufficient statistic and never forms H.
+`detect.mf_simplified_samples`, the sampler behind the coded sweep's
+simplified-MF frames: it draws the estimates from a sufficient statistic
+and never forms H.
 Density evolution calls it for the channel it models, i.i.d. Rayleigh
 fading with perfect CSI; the sampler also covers Kronecker correlation
 and estimation error, which no DeConfig setting selects.  The MMSE and

@@ -15,8 +15,8 @@ Two detector families are provided:
   an assumption about the interference-plus-noise term s_hat_k - s_k
   itself (`mf_interference_samples` draws it); Delta_k, being a power, is
   positive and skewed.  `mf_simplified_samples` draws the simplified
-  estimates of per-use fading, correlated or not, with or without
-  estimation error, from a sufficient statistic instead of H.
+  estimates, each channel use with its own H, correlated or not, with or
+  without estimation error, from a sufficient statistic instead of H.
 
 `soft_detect` maps a detector kind (one of `DETECTORS`) to its per-stream
 likelihood rows; every consumer that draws H (coded and uncoded sweeps,
@@ -181,8 +181,7 @@ def mf_simplified_samples(
     costs four matrix-vector products and O(N_t + N_r) normals per use,
     instead of N_t N_r normals and two O(n^3) products, and the estimates
     have the joint law over the streams of the full-H pipeline.
-    It needs a fresh H per use and the constant 1/N_r weights: per-frame
-    fading, exact MF and MMSE need H itself.
+    It needs the constant 1/N_r weights: exact MF and MMSE need H itself.
     """
     b, n_t = s.shape
     half = np.sqrt(0.5)

@@ -32,7 +32,6 @@ command = ber
 n_t = 200
 n_r = 200
 modulation = 2
-fading = per-use
 [code]
 m = 8
 n_symbols = 300
@@ -59,7 +58,6 @@ command = ber
 n_t = 600
 n_r = 600
 modulation = 2
-fading = per-use
 [code]
 m = 8
 n_symbols = 300
@@ -86,7 +84,6 @@ command = ber
 n_t = 600
 n_r = 600
 modulation = 16
-fading = per-use
 [code]
 m = 8
 n_symbols = 300
@@ -162,7 +159,6 @@ command = ber
 n_t = 200
 n_r = 200
 modulation = 2
-fading = per-use
 [code]
 m = 8
 n_symbols = 300
@@ -206,7 +202,6 @@ command = ber
 n_t = 600
 n_r = 600
 modulation = 2
-fading = per-use
 [code]
 m = 8
 n_symbols = 300
@@ -255,7 +250,6 @@ command = ber
 n_t = 16
 n_r = 16
 modulation = 2
-fading = per-use
 [code]
 m = 8
 n_symbols = 48
@@ -283,7 +277,6 @@ command = ber
 n_t = 16
 n_r = 16
 modulation = 2
-fading = per-use
 [code]
 m = 8
 n_symbols = 48
@@ -305,6 +298,32 @@ max_frames = 6
 gamma_db = -8.5
 [run]
 master_seed = 16
+""",
+    # 16-QAM mapping and priors (p = 4), coded MMSE and exact MF.
+    "ci-small-qam": """
+[meta]
+command = ber
+[system]
+n_t = 16
+n_r = 16
+modulation = 16
+[code]
+m = 8
+n_symbols = 48
+d_c = 3
+repeat_factor = 1
+construction_seed = 11
+[detector]
+kind = mmse, mf-exact
+[decoder]
+max_iterations = 50
+[stop]
+min_frame_errors = 5
+max_frames = 20
+[sweep]
+gamma_db = 8.0
+[run]
+master_seed = 17
 """,
     "ci-small-capacity": """
 [meta]

@@ -75,12 +75,6 @@ class SweepSummary:
     stop_reason: str
 
 
-def _point_flops(kind: str, n_r: int, m_points: int) -> tuple[int, int]:
-    if kind == "mmse":
-        return flops_mmse(n_r, m_points)
-    return flops_proposed(n_r, m_points)
-
-
 def _stats_from_counts(counts: np.ndarray, bits_per_frame: int):
     frames = len(counts)
     ber = counts.sum() / (bits_per_frame * frames)
@@ -96,78 +90,98 @@ def _stats_from_counts(counts: np.ndarray, bits_per_frame: int):
     return ber, ber_se, frame_errors, fer, fer_se, mean_per_fe
 
 
-def _sweep(cfg: ExperimentConfig, purpose: int, bits_per_frame: int, run_frame,
-           progress=None, sampled_mf=False) -> list[SweepSummary]:
-    """Run frames at every (detector, estimation error, SNR) point until the
-    stop rule fires.
+def _detect_each_use(kind, cfg, corr, sigma2_e, sigma2_n, const, rng, vectors):
+    """Stacked likelihood rows of transmit vectors, each use through its own
+    H: draw H, correlate it, perturb its estimate, transmit, detect."""
+    blocks = []
+    for s_vec in vectors:
+        h = sample_iid(cfg.n_t, cfg.n_r, rng)
+        if corr is not None:
+            h = apply_correlation(h, corr)
+        h_est = perturb_estimate(h, sigma2_e, rng)
+        y = transmit(h, s_vec, sigma2_n, rng)
+        blocks.append(soft_detect(kind, h_est, y, sigma2_n, const))
+    return np.vstack(blocks)
 
-    `run_frame(rng, const, link)` draws one frame's symbols from `rng`,
-    sends its transmit vectors through `link(rng, vectors)`, which returns
-    their stacked likelihood rows, and returns (bit errors, BP iterations).
-    With `sampled_mf`, simplified MF under per-use fading draws all uses of
-    a frame at once through `mf_simplified_samples`, without H; every
-    other link draws H, its estimate and y per use.
+
+def _run_point(cfg: ExperimentConfig, spec, kind: str, sigma2_e: float,
+               gamma_db: float) -> SweepSummary:
+    """Frames at one (detector, estimation error, SNR) point until the stop
+    rule fires; a coded point under `spec`, an uncoded one when it is None.
+
+    Frame f draws from `substream(seed, purpose, f)` alone, so a point's
+    row does not depend on the other points of its sweep.  Coded
+    simplified-MF frames draw their estimates through
+    `mf_simplified_samples`, without H; every other frame draws H per use.
+    An uncoded frame is one channel use, hard-sliced per stream.
     """
     const = gray_constellation(cfg.modulation, symbol_energy=1.0 / cfg.n_t)
     corr = None
     if cfg.rho_t > 0 or cfg.rho_r > 0:
         corr = CorrelationSpec(cfg.rho_t, cfg.rho_r, cfg.n_t, cfg.n_r)
+    sigma2_n = snr_to_noise(gamma_db)
+    purpose = _UNCODED if spec is None else _FRAME
+    counts = []
+    iterations = []
+    frame = 0
+    frame_errors = 0
+    while True:
+        rng = substream(cfg.master_seed, purpose, frame)
+        if spec is None:
+            labels = rng.integers(0, cfg.modulation, size=cfg.n_t)
+            vectors = const.points[labels][None]
+        else:
+            field = spec.field
+            info = rng.integers(0, field.size, size=spec.k_symbols)
+            x = spec.encode(info)
+            vectors = map_codeword(spec.expand(x), const, field, cfg.n_t)
+        if spec is not None and kind == "mf-simplified":
+            rows = mf_simplified_samples(
+                vectors, cfg.n_r, sigma2_n, rng, sigma2_e, corr, const
+            ).reshape(-1, const.size)
+        else:
+            rows = _detect_each_use(
+                kind, cfg, corr, sigma2_e, sigma2_n, const, rng, vectors
+            )
+        if spec is None:
+            hard = rows.argmax(axis=1)
+            diff = const.labels_to_bits(hard) ^ const.labels_to_bits(labels)
+            errors, iters = int(diff.sum()), 0
+        else:
+            priors = symbol_priors(rows, field)
+            folded = spec.fold_priors(priors[: spec.n_transmit_symbols])
+            res = decode(folded, spec.matrix, field, cfg.decoder_iterations)
+            got = field.to_bits(res.hard[spec.info_cols])
+            errors = int(np.count_nonzero(got != field.to_bits(info)))
+            iters = res.iterations_used
+        counts.append(errors)
+        iterations.append(iters)
+        frame += 1
+        frame_errors += errors > 0
+        if frame_errors >= cfg.min_frame_errors:
+            stop = "frame_errors"
+            break
+        if frame >= cfg.max_frames:
+            stop = "max_frames"
+            break
+    counts = np.array(counts)
+    bits_per_frame = cfg.bits_per_point * cfg.n_t if spec is None else spec.k_bits
+    ber, ber_se, fe, fer, fer_se, per_fe = _stats_from_counts(counts, bits_per_frame)
+    flops = flops_mmse if kind == "mmse" else flops_proposed
+    return SweepSummary(
+        kind, gamma_db, sigma2_e, cfg.rho_t, cfg.rho_r, int(frame),
+        int(counts.sum()), fe, ber, ber_se, fer, fer_se,
+        float(np.mean(iterations)), per_fe, *flops(cfg.n_r, cfg.modulation), stop,
+    )
+
+
+def _sweep(cfg: ExperimentConfig, spec, progress=None) -> list[SweepSummary]:
+    """Every (detector, estimation error, SNR) point of a sweep, in order."""
     out = []
     for kind in cfg.detectors:
-        sampled = (
-            sampled_mf and kind == "mf-simplified" and cfg.fading == "per-use"
-        )
         for sigma2_e in cfg.est_error_vars:
             for gamma_db in cfg.gamma_db:
-                sigma2_n = snr_to_noise(gamma_db)
-
-                def link(rng, vectors):
-                    if sampled:
-                        return mf_simplified_samples(
-                            vectors, cfg.n_r, sigma2_n, rng, sigma2_e, corr, const
-                        ).reshape(-1, const.size)
-                    blocks = []
-                    h = None
-                    for s_vec in vectors:
-                        if h is None or cfg.fading == "per-use":
-                            h = sample_iid(cfg.n_t, cfg.n_r, rng)
-                            if corr is not None:
-                                h = apply_correlation(h, corr)
-                            h_est = perturb_estimate(h, sigma2_e, rng)
-                        y = transmit(h, s_vec, sigma2_n, rng)
-                        blocks.append(soft_detect(kind, h_est, y, sigma2_n, const))
-                    return np.vstack(blocks)
-
-                counts = []
-                iterations = []
-                frame = 0
-                frame_errors = 0
-                while True:
-                    rng = substream(cfg.master_seed, purpose, frame)
-                    errors, iters = run_frame(rng, const, link)
-                    counts.append(errors)
-                    iterations.append(iters)
-                    frame += 1
-                    frame_errors += errors > 0
-                    if frame_errors >= cfg.min_frame_errors:
-                        stop = "frame_errors"
-                        break
-                    if frame >= cfg.max_frames:
-                        stop = "max_frames"
-                        break
-                counts = np.array(counts)
-                ber, ber_se, fe, fer, fer_se, per_fe = _stats_from_counts(
-                    counts, bits_per_frame
-                )
-                fl = _point_flops(kind, cfg.n_r, cfg.modulation)
-                out.append(
-                    SweepSummary(
-                        kind, gamma_db, sigma2_e, cfg.rho_t, cfg.rho_r,
-                        int(frame), int(counts.sum()), fe, ber, ber_se, fer,
-                        fer_se, float(np.mean(iterations)), per_fe, fl[0],
-                        fl[1], stop,
-                    )
-                )
+                out.append(_run_point(cfg, spec, kind, sigma2_e, gamma_db))
                 if progress:
                     progress(out[-1])
     return out
@@ -179,19 +193,7 @@ def run_ber(cfg: ExperimentConfig, progress=None) -> list[SweepSummary]:
     spec = build_code_spec(cfg.n_symbols, cfg.d_c, field, cfg.construction_seed)
     if cfg.repeat_factor > 1:
         spec = lower_rate(spec, spec.rate / cfg.repeat_factor)
-
-    def run_frame(rng, const, link):
-        info = rng.integers(0, field.size, size=spec.k_symbols)
-        x = spec.encode(info)
-        vectors = map_codeword(spec.expand(x), const, field, cfg.n_t)
-        priors = symbol_priors(link(rng, vectors), field)
-        folded = spec.fold_priors(priors[: spec.n_transmit_symbols])
-        res = decode(folded, spec.matrix, field, cfg.decoder_iterations)
-        got = field.to_bits(res.hard[spec.info_cols])
-        want = field.to_bits(info)
-        return int(np.count_nonzero(got != want)), res.iterations_used
-
-    return _sweep(cfg, _FRAME, spec.k_bits, run_frame, progress, sampled_mf=True)
+    return _sweep(cfg, spec, progress)
 
 
 def run_uncoded(cfg: ExperimentConfig, progress=None) -> list[SweepSummary]:
@@ -200,14 +202,7 @@ def run_uncoded(cfg: ExperimentConfig, progress=None) -> list[SweepSummary]:
     Every detector draws H, so for BPSK the exact and simplified MF slice
     the same estimates up to a positive per-stream scale.
     """
-
-    def run_frame(rng, const, link):
-        labels = rng.integers(0, cfg.modulation, size=cfg.n_t)
-        hard = link(rng, [const.points[labels]]).argmax(axis=1)
-        diff = const.labels_to_bits(hard) ^ const.labels_to_bits(labels)
-        return int(diff.sum()), 0
-
-    return _sweep(cfg, _UNCODED, cfg.bits_per_point * cfg.n_t, run_frame, progress)
+    return _sweep(cfg, None, progress)
 
 
 def run_capacity(cfg: ExperimentConfig) -> list[dict]:

@@ -160,6 +160,26 @@ class TestCorrelation:
             assert np.array_equal(eig, np.clip(np.linalg.eigh(r)[0], 0.0, None))
             assert eig.sum() == pytest.approx(n, abs=1e-12)
 
+    def test_symmetric_spec_decomposes_once(self, monkeypatch):
+        # Equal rho and size at both ends share one eigh; unequal ones
+        # still decompose each matrix.
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        spec = CorrelationSpec(0.5, 0.5, 16, 16)
+        assert spec.eig_r is spec.eig_t
+        assert calls == [(16, 16)]
+        calls.clear()
+        for rho_r, n_r in ((0.3, 16), (0.5, 12)):
+            spec = CorrelationSpec(0.5, rho_r, 16, n_r)
+            spec.eig_t, spec.eig_r
+        assert calls == [(16, 16), (16, 16), (16, 16), (12, 12)]
+
     def test_zero_rho_is_identity(self):
         spec = CorrelationSpec(0.0, 0.0, 4, 4)
         rng = np.random.default_rng(4)

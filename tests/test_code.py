@@ -283,23 +283,3 @@ class TestRateLowering:
         priors[np.arange(2 * n), stream] = 1.0
         folded = low.fold_priors(priors)
         assert np.array_equal(folded.argmax(axis=1), x)
-
-
-class TestTextFormat:
-    def test_round_trip(self):
-        f = build_field(8)
-        m = construct_regular(30, 3, f, seed=17)
-        text = m.to_text()
-        back = SparseParityMatrix.from_text(text)
-        assert back.m == m.m
-        assert back.n_checks == m.n_checks
-        assert back.n_symbols == m.n_symbols
-        assert np.array_equal(back.edge_row, m.edge_row)
-        assert np.array_equal(back.edge_col, m.edge_col)
-        assert np.array_equal(back.edge_coef, m.edge_coef)
-
-    def test_header_format(self):
-        f = build_field(4)
-        m = construct_regular(12, 3, f, seed=17)
-        first = m.to_text().splitlines()[0]
-        assert first == "4 8 12 3"
