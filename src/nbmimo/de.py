@@ -203,7 +203,8 @@ def de_iterate(
         # Flat gathers: element x of row r reads entry r * q + rot[x].
         rotated = flat_ens[(idx * qsize)[..., None] + rot_in[coefs_in]]
         spectra = fwht(rotated).prod(axis=1)
-        conv = fwht(spectra) / qsize
+        conv = fwht(spectra)
+        conv /= qsize
         rows = np.arange(b)[:, None] * qsize
         c2v = conv.reshape(-1)[rows + mt[coef_out]]
         c2v = np.maximum(c2v, MSG_FLOOR)

@@ -5,11 +5,15 @@ under a flooding schedule.  Check-node updates run in the transform domain:
 after rotating each incoming message by its edge coefficient, the check
 constraint is a convolution over the additive group of GF(2^m), which the
 Walsh-Hadamard transform diagonalizes (Barnault & Declercq, ITW 2003).
-The transform is one dense product with the cached 2^m x 2^m
-Sylvester-Hadamard matrix, not the O(m 2^m) butterfly.  The product does
-O(2^{2m}) flops per edge, but as one cache-blocked BLAS call over all edges
-it reads the messages once, where the butterfly makes m strided passes with
-a temporary array each; at 2^m <= 256 the product is the faster of the two.
+The transform uses Sylvester's construction H_q = H_r (x) H_c with
+r = 2^floor(m/2) and c = q / r: read as an r x c matrix X, a length-q row
+transforms to H_r X H_c.  That is one BLAS product over all rows with the
+c x c matrix, then one batched product with the r x r matrix: 2(r + c)
+flops per entry instead of the 2q of the dense q x q product, 64 instead
+of 512 at q = 256.  Below q = 64 the two products cost more in overhead
+than they save, and the transform stays one dense product.  Both forms
+read the messages a fixed number of times, where the O(m q) butterfly
+makes m strided passes with a temporary array each.
 
 Every message is floored at MSG_FLOOR and renormalized after each node
 update, which keeps the iteration free of underflow absorbing states.
@@ -32,9 +36,20 @@ class DecoderError(RuntimeError):
     """Raised when messages degenerate (NaN or zero-sum) during decoding."""
 
 
+# Shortest transform length that takes the factored H_r X H_c path: from
+# q = 64 it beats the dense product in BP and in DE (BENCH_12.json).
+_FACTORED_MIN_Q = 64
+
+
+def _check_power_of_two(q: int) -> None:
+    if q < 1 or q & (q - 1):
+        raise ValueError(f"transform length must be a power of two, got {q}")
+
+
 @cache
 def _hadamard(q: int) -> np.ndarray:
     """Read-only q x q Sylvester-Hadamard matrix, H[u, x] = (-1)^popcount(u & x)."""
+    _check_power_of_two(q)
     h = np.ones((1, 1))
     while len(h) < q:
         h = np.block([[h, h], [h, -h]])
@@ -50,8 +65,15 @@ def fwht(a: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a, dtype=np.float64)
     q = a.shape[-1]
-    # A 2-D operand keeps this one BLAS product, not a batch of small ones.
-    return (a.reshape(-1, q) @ _hadamard(q)).reshape(a.shape)
+    _check_power_of_two(q)
+    if q < _FACTORED_MIN_Q:
+        # A 2-D operand keeps this one BLAS product, not a batch of small ones.
+        return (a.reshape(-1, q) @ _hadamard(q)).reshape(a.shape)
+    # Row index x = x_r * c + x_c splits the bits of u & x between the factors.
+    r = 1 << (q.bit_length() - 1) // 2
+    c = q // r
+    y = a.reshape(-1, c) @ _hadamard(c)
+    return np.matmul(_hadamard(r), y.reshape(-1, r, c)).reshape(a.shape)
 
 
 def _leave_one_out_product(values: np.ndarray) -> np.ndarray:

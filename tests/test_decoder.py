@@ -5,10 +5,12 @@ import weakref
 import numpy as np
 import pytest
 
+from nbmimo import decoder
 from nbmimo.code import SparseParityMatrix, build_code_spec, syndrome
 from nbmimo.decoder import (
     DecodeResult,
     _BpGraph,
+    _hadamard,
     _leave_one_out_product,
     decode,
     fwht,
@@ -111,9 +113,36 @@ class TestFwht:
             scale = np.abs(want).max()
             assert np.abs(got - want).max() <= 1e-12 * scale
 
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_factored_matches_dense_product(self, m, monkeypatch):
+        # Take the factored H_r X H_c path at every m, not only from the cutoff.
+        monkeypatch.setattr(decoder, "_FACTORED_MIN_Q", 1)
+        q = 1 << m
+        rng = np.random.default_rng(300 + m)
+        de_block = rng.normal(size=(64, 2, q))
+        inputs = [
+            rng.normal(size=q),
+            rng.normal(size=(600, q)),
+            de_block,
+            de_block[::3, ::-1],
+            rng.integers(-9, 10, size=(5, q)),
+        ]
+        assert not inputs[3].flags.c_contiguous
+        for a in inputs:
+            before = a.copy()
+            got = fwht(a)
+            want = a @ _hadamard(q)
+            assert got.shape == a.shape
+            assert got.dtype == np.float64
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            assert np.array_equal(a, before)
+
     def test_rejects_length_not_power_of_two(self):
-        with pytest.raises(ValueError):
-            fwht(np.ones(12))
+        for n in (0, 12, 96):
+            with pytest.raises(ValueError, match=f"got {n}$"):
+                fwht(np.ones(n))
+        with pytest.raises(ValueError, match="got 12$"):
+            _hadamard(12)
 
 
 class TestFastPathsEqualReference:
