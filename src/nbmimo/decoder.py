@@ -10,10 +10,9 @@ r = 2^floor(m/2) and c = q / r: read as an r x c matrix X, a length-q row
 transforms to H_r X H_c.  That is one BLAS product over all rows with the
 c x c matrix, then one batched product with the r x r matrix: 2(r + c)
 flops per entry instead of the 2q of the dense q x q product, 64 instead
-of 512 at q = 256.  Below q = 64 the two products cost more in overhead
-than they save, and the transform stays one dense product.  Both forms
-read the messages a fixed number of times, where the O(m q) butterfly
-makes m strided passes with a temporary array each.
+of 512 at q = 256.  The two products read the messages a fixed number of
+times, where the O(m q) butterfly makes m strided passes with a temporary
+array each.
 
 Every message is floored at MSG_FLOOR and renormalized after each node
 update, which keeps the iteration free of underflow absorbing states.
@@ -34,11 +33,6 @@ MSG_FLOOR = 1e-30
 
 class DecoderError(RuntimeError):
     """Raised when messages degenerate (NaN or zero-sum) during decoding."""
-
-
-# Shortest transform length that takes the factored H_r X H_c path: from
-# q = 64 it beats the dense product in BP and in DE (BENCH_12.json).
-_FACTORED_MIN_Q = 64
 
 
 def _check_power_of_two(q: int) -> None:
@@ -66,9 +60,6 @@ def fwht(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     q = a.shape[-1]
     _check_power_of_two(q)
-    if q < _FACTORED_MIN_Q:
-        # A 2-D operand keeps this one BLAS product, not a batch of small ones.
-        return (a.reshape(-1, q) @ _hadamard(q)).reshape(a.shape)
     # Row index x = x_r * c + x_c splits the bits of u & x between the factors.
     r = 1 << (q.bit_length() - 1) // 2
     c = q // r
