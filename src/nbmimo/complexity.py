@@ -44,7 +44,11 @@ def flops_proposed(n_r: int, m_points: int) -> tuple[int, int]:
 
 
 def flops_mmse(n_r: int, m_points: int) -> tuple[int, int]:
-    """(detection, soft output) flops for the MMSE detector."""
+    """(detection, soft output) flops for the MMSE detector.
+
+    This is the paper's operation count for its receiver, not the cost of
+    `detect.mmse_soft`, which solves the N_t x N_t system instead of forming W.
+    """
     detect = 10 * n_r**3 + 5.5 * n_r**2 + 1.5 * n_r
     soft = 4 * m_points * n_r**2 + 58 * m_points * n_r
     return int(detect), int(soft)

@@ -3,9 +3,17 @@
 Two detector families are provided:
 
 * MMSE: per-stream estimates s_hat_k = W_k^H y with
-  W = (N_0 / (E_s/N_t) I + H H^H)^{-1} H, modelled at the output as an
-  equivalent AWGN channel s_hat_k = mu_k s_k + z_k with
-  mu_k = W_k^H H_k and var(z_k) = (E_s/N_t)(mu_k - mu_k^2).
+  W = (c I + H H^H)^{-1} H and c = N_0 / (E_s/N_t), modelled at the
+  output as an equivalent AWGN channel s_hat_k = mu_k s_k + z_k with
+  mu_k = W_k^H H_k and var(z_k) = (E_s/N_t)(mu_k - mu_k^2).  W itself is
+  never formed.  By the push-through identity
+  (c I + H H^H)^{-1} H = H G^{-1} with the N_t x N_t matrix
+  G = H^H H + c I, the estimates are s_hat = G^{-1} H^H y and, since
+  W^H H = I - c G^{-1}, mu_k = 1 - c [G^{-1}]_kk.  With G = L L^H,
+  [G^{-1}]_kk is the squared norm of column k of L^{-1}.  A use costs a
+  herk, a Cholesky factorization and a triangular inverse, about
+  N_r N_t^2 / 2 + N_t^3 / 3 complex multiply-adds, where the N_r-side
+  solve for W costs about 2 N_r^2 N_t + N_r^3 / 6.
 
 * Matched filter: W_k = H_k^H / (H_k^H H_k), or the large-array
   simplification W_k = H_k^H / N_r.  The post-detection interference plus
@@ -34,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from nbmimo.channel import gray_constellation, snr_to_noise
 from nbmimo.galois import FieldTable
@@ -55,20 +63,6 @@ class StreamEstimates:
     var_clamped: bool = False
 
 
-def mmse_weights(h: np.ndarray, es: float, n_t: int, n0: float) -> np.ndarray:
-    """Weight matrix W with columns W_k, one positive-definite solve per use."""
-    i = np.arange(h.shape[-2])
-    gram = h @ h.conj().swapaxes(-1, -2)
-    gram[..., i, i] += n0 / (es / n_t)
-    try:
-        factor = cho_factor(gram, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            "regularized Gram matrix is not positive definite"
-        ) from exc
-    return cho_solve(factor, h)
-
-
 def mmse_soft(
     h: np.ndarray,
     y: np.ndarray,
@@ -79,14 +73,28 @@ def mmse_soft(
 ) -> tuple[StreamEstimates, np.ndarray]:
     """MMSE estimates and the per-stream likelihood table Pr(s_hat_k | s).
 
+    Each use solves the N_t x N_t system G = H^H H + c I of the
+    push-through identity (module docstring) with one herk, potrf, potrs
+    and trtri: about 0.8 n^3 complex multiply-adds at N_r = N_t = n,
+    against 2.2 n^3 for W.  Batch axes run one use at a time.  `s_hat` has
+    the dtype of h and y combined (complex64 takes the single-precision
+    routines), and `mu` and `var` its real counterpart.
+
     The likelihood is exp(-|s_hat_k - mu_k s|^2 / eps_k^2) normalized over
     the constellation; it is computed in the log domain with max
     subtraction so the normalization is exact.  `var_clamped` reports a
     clamp anywhere in the batch.
     """
-    w = mmse_weights(h, es, n_t, n0)
-    s_hat = (w.conj().swapaxes(-1, -2) @ y[..., None])[..., 0]
-    mu = np.real(np.sum(w.conj() * h, axis=-2))
+    c = n0 / (es / n_t)
+    dtype = np.result_type(h, y, np.complex64)
+    routines = get_blas_funcs(("herk",), dtype=dtype) + get_lapack_funcs(
+        ("potrf", "potrs", "trtri"), dtype=dtype
+    )
+    s_hat = np.empty(h.shape[:-2] + h.shape[-1:], dtype)
+    mu = np.empty(s_hat.shape, s_hat.real.dtype)
+    for use in np.ndindex(h.shape[:-2]):
+        s_hat[use], g_inv_diag = _mmse_nt_side(h[use], y[use], c, *routines)
+        mu[use] = 1 - c * g_inv_diag
     var = (es / n_t) * (mu - mu**2)
     clamped = bool(np.any(var <= VAR_FLOOR))
     var = np.maximum(var, VAR_FLOOR)
@@ -94,6 +102,28 @@ def mmse_soft(
     log_lik = -(np.abs(diff) ** 2) / var[..., None]
     block = _normalize_rows(log_lik)
     return StreamEstimates(s_hat, mu, var, clamped), block
+
+
+def _mmse_nt_side(h, y, c, herk, potrf, potrs, trtri):
+    """(G^{-1} H^H y, diag G^{-1}) of one use, G = H^H H + c I.
+
+    The routines factor the conjugate conj(G) = H^T conj(H) + c I, so that
+    herk reads h.T, Fortran-ordered for a C-ordered h, without a copy.
+    With conj(G) = M M^H: conj(G)^{-1} conj(H^H y) = conj(G^{-1} H^H y),
+    and diag G^{-1} = diag conj(G)^{-1} is the squared column norms of
+    M^{-1} (potrf zeroes its upper triangle).
+    """
+    n = h.shape[-1]
+    gram = herk(1.0, h.T, lower=1)
+    gram[np.arange(n), np.arange(n)] += c
+    chol, info = potrf(gram, lower=1, overwrite_a=1)
+    if info > 0:
+        raise np.linalg.LinAlgError("regularized Gram matrix is not positive definite")
+    x, _ = potrs(chol, y.conj() @ h, lower=1)
+    inv, _ = trtri(chol, lower=1, overwrite_c=1)
+    # Rows of inv.T are the columns of M^{-1}, as (re, im) pairs.
+    cols = inv.T.view(inv.real.dtype)
+    return x.conj().ravel(), np.einsum("ij,ij->i", cols, cols)
 
 
 def _normalize_rows(log_lik: np.ndarray) -> np.ndarray:

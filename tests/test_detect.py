@@ -15,13 +15,13 @@ from nbmimo.channel import (
 )
 from nbmimo.detect import (
     DETECTORS,
+    VAR_FLOOR,
     mf_detect,
     mf_interference_samples,
     mf_simplified_samples,
     mf_sinr,
     mf_soft,
     mmse_soft,
-    mmse_weights,
     soft_detect,
     symbol_priors,
 )
@@ -29,25 +29,59 @@ from nbmimo.galois import build_field
 from nbmimo.runner import ks_gaussian_test, substream
 
 
+def _receive_side_weights(h, c):
+    """W = (c I + H H^H)^{-1} H for each use, the N_r-side MMSE filter."""
+    eye = np.eye(h.shape[-2])
+    return np.linalg.solve(c * eye + h @ h.conj().swapaxes(-1, -2), h)
+
+
 class TestMmseWeights:
+    """The MMSE filter W as `mmse_soft` applies it.
+
+    s_hat = W^H y and mu_k = W_k^H H_k, with es = 1 throughout.
+    """
+
     def test_scalar_low_noise_limit(self):
         h = np.array([[1.0 + 0j]])
-        w = mmse_weights(h, es=1.0, n_t=1, n0=1e-12)
-        assert abs(w[0, 0] - 1.0) < 1e-9
+        y = np.array([0.3 - 0.2j])
+        est, _ = mmse_soft(h, y, 1.0, 1, 1e-12, gray_constellation(2))
+        assert abs(est.s_hat[0] - y[0]) < 1e-9
+        assert abs(est.mu[0] - 1.0) < 1e-9
 
     def test_orthogonal_columns_give_scaled_columns(self):
-        # Diagonal Gram: W_k = H_k / (reg + |H_k|^2) with reg = N_0/(E_s/N_t).
+        # Diagonal Gram: W_k = H_k / (reg + |H_k|^2) with reg = N_0/(E_s/N_t)
+        # = 1, so W = (2/5) I and mu_k = 4/5.
         h = np.array([[2.0, 0.0], [0.0, 2.0]], dtype=np.complex128)
-        w = mmse_weights(h, es=1.0, n_t=2, n0=0.5)
-        assert np.allclose(w, (2.0 / 5.0) * np.eye(2), atol=1e-12)
+        y = np.array([1.0 + 2.0j, -0.5j])
+        est, _ = mmse_soft(h, y, 1.0, 2, 0.5, gray_constellation(2))
+        assert np.allclose(est.s_hat, (2.0 / 5.0) * y, atol=1e-12)
+        assert np.allclose(est.mu, 4.0 / 5.0, atol=1e-12)
 
     def test_matches_explicit_inverse(self):
         rng = np.random.default_rng(0)
         h = sample_iid(4, 4, rng)
+        y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         es, n_t, n0 = 1.0, 4, 0.4
-        w = mmse_weights(h, es, n_t, n0)
-        direct = np.linalg.inv((n0 / (es / n_t)) * np.eye(4) + h @ h.conj().T) @ h
-        assert np.max(np.abs(w - direct)) < 1e-10
+        est, _ = mmse_soft(h, y, es, n_t, n0, gray_constellation(2, 1 / n_t))
+        w = np.linalg.inv((n0 / (es / n_t)) * np.eye(4) + h @ h.conj().T) @ h
+        assert np.max(np.abs(est.s_hat - w.conj().T @ y)) < 1e-10
+        assert np.max(np.abs(est.mu - np.real(np.sum(w.conj() * h, axis=0)))) < 1e-10
+
+
+def _de_channel_uses(seed, b, n, gamma_db):
+    """b complex64 uses with every antenna sending label 0, drawn as DE draws them."""
+    rng = np.random.default_rng(seed)
+    c = gray_constellation(2, symbol_energy=1.0 / n)
+    sigma2 = snr_to_noise(gamma_db)
+    half = np.float32(np.sqrt(2) / 2)
+    h = np.empty((b, n, n), dtype=np.complex64)
+    h.real = rng.standard_normal((b, n, n), dtype=np.float32) * half
+    h.imag = rng.standard_normal((b, n, n), dtype=np.float32) * half
+    y = np.complex64(c.points[0]) * h.sum(axis=2)
+    noise_scale = np.float32(np.sqrt(sigma2))
+    y.real += noise_scale * rng.standard_normal((b, n), dtype=np.float32)
+    y.imag += noise_scale * rng.standard_normal((b, n), dtype=np.float32)
+    return h, y, sigma2, c
 
 
 class TestMmseSoft:
@@ -97,7 +131,7 @@ class TestMmseSoft:
         es, gamma_db = 1.0, 5.0
         sigma2 = snr_to_noise(gamma_db)
         n0 = 2 * sigma2
-        w = mmse_weights(h, es, n, n0)
+        w = _receive_side_weights(h, n0 / (es / n))
         truth = rng.integers(0, 2, n)
         s = c.points[truth]
         y = transmit(h, s, sigma2, rng)
@@ -123,6 +157,60 @@ class TestMmseSoft:
         kl = np.sum(oracle * np.log(oracle / approx))
         assert kl < 0.05
 
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            pytest.param(lambda: _stack(40, (), 16, 16, 2), id="nt16-nr16"),
+            pytest.param(lambda: _stack(41, (), 6, 8, 2), id="nt6-nr8"),
+            pytest.param(lambda: _stack(42, (), 8, 6, 2), id="nt8-nr6"),
+            pytest.param(lambda: _stack(43, (), 200, 200, 2), id="nt200-nr200"),
+            pytest.param(
+                lambda: _de_channel_uses(44, 4, 12, -2.5), id="de-batch-complex64"
+            ),
+            pytest.param(lambda: _stack(45, (2, 3), 8, 8, 4), id="two-batch-axes"),
+        ],
+    )
+    def test_matches_receive_side_solve(self, draw):
+        # Each use against its own N_r-side solve W = (c I + H H^H)^{-1} H,
+        # taken in double precision.
+        h, y, sigma2, c = draw()
+        n_t = h.shape[-1]
+        es, n0 = 1.0, 2 * sigma2
+        est, block = mmse_soft(h, y, es, n_t, n0, c)
+        tol = 1e-5 if h.dtype == np.complex64 else 1e-12
+        assert est.s_hat.dtype == h.dtype
+        assert est.mu.dtype == est.var.dtype == h.real.dtype
+        assert est.s_hat.shape == est.mu.shape == h.shape[:-2] + (n_t,)
+        assert block.shape == h.shape[:-2] + (n_t, c.size)
+        clamped = False
+        for use in np.ndindex(h.shape[:-2]):
+            hu = h[use].astype(np.complex128)
+            w = _receive_side_weights(hu, n0 / (es / n_t))
+            s_hat = w.conj().T @ y[use]
+            mu = np.real(np.sum(w.conj() * hu, axis=0))
+            var = (es / n_t) * (mu - mu**2)
+            clamped |= bool(np.any(var <= VAR_FLOOR))
+            log_lik = -np.abs(s_hat[:, None] - mu[:, None] * c.points) ** 2
+            log_lik /= np.maximum(var, VAR_FLOOR)[:, None]
+            lik = np.exp(log_lik - log_lik.max(axis=1, keepdims=True))
+            rows = lik / lik.sum(axis=1, keepdims=True)
+            assert np.max(np.abs(est.s_hat[use] - s_hat)) <= tol * np.max(np.abs(s_hat))
+            assert np.max(np.abs(est.mu[use] - mu)) <= tol * np.max(np.abs(mu))
+            assert np.max(np.abs(block[use] - rows)) <= tol
+        assert est.var_clamped == clamped
+
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_singular_gram_raises(self, batch):
+        # Without noise a zero column of H makes G = H^H H singular; in a
+        # batch only the middle use has one.
+        h, y, _, c = _stack(46, batch, 4, 6, 2)
+        h[(1,) * len(batch) + (slice(None), 2)] = 0
+        with pytest.raises(
+            np.linalg.LinAlgError,
+            match="^regularized Gram matrix is not positive definite$",
+        ):
+            mmse_soft(h, y, 1.0, 4, 0.0, c)
+
 
 class TestMfDetect:
     def test_orthogonal_noiseless_exact_recovery(self):
@@ -147,7 +235,7 @@ class TestMfDetect:
         h = sample_iid(1, 8, rng)
         y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         mf = mf_detect(h, y, mode="exact")
-        w = mmse_weights(h, es=1.0, n_t=1, n0=0.1)
+        w = _receive_side_weights(h, 0.1)
         mmse = w.conj().T @ y
         ratio = mf[0] / mmse[0]
         assert abs(ratio.imag) < 1e-10
