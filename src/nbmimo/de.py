@@ -47,6 +47,8 @@ class ThresholdSearchError(RuntimeError):
 
 # SNR points `find_threshold` tries before it gives up.
 MAX_POINTS = 500
+# Ensemble rows `ensemble_entropy` takes at once.
+_ENTROPY_ROWS = 8192
 
 
 @dataclass
@@ -93,9 +95,17 @@ class DeResult:
 
 
 def ensemble_entropy(ensemble: np.ndarray, field: FieldTable) -> float:
-    """Average Shannon entropy in base 2^m; 0 log 0 reads as 0."""
+    """Average Shannon entropy in base 2^m; 0 log 0 reads as 0.
+
+    Row entropies are summed chunk by chunk into one vector, so no
+    ensemble-sized temporary is made; each row's sum is the one
+    `entr(p).sum(axis=1)` forms.
+    """
     p = np.asarray(ensemble, dtype=np.float64)
-    return float(entr(p).sum(axis=1).mean() / (np.log(2) * field.m))
+    rows = np.empty(len(p))
+    for lo in range(0, len(p), _ENTROPY_ROWS):
+        rows[lo : lo + _ENTROPY_ROWS] = entr(p[lo : lo + _ENTROPY_ROWS]).sum(axis=1)
+    return float(rows.mean() / (np.log(2) * field.m))
 
 
 def _channel_prior_samples(cfg: DeConfig, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -122,8 +132,9 @@ def _channel_prior_samples(cfg: DeConfig, n: int, rng: np.random.Generator) -> n
     sigma2_n = snr_to_noise(cfg.gamma0_db)
     point0 = const.points[0]
     uses_left = -(-n // per_use)
-    # 2^21 symbol_priors factors or channel entries (16 MB) per batch stay
-    # small enough for the allocator to reuse, batch after batch.
+    # A batch holds 2^21 complex64 channel entries (16 MB), or under
+    # simplified MF 2^21 / m symbol prior entries (2 MB at m = 8): small
+    # enough for the allocator to reuse, batch after batch.
     per_use_size = field.size if cfg.detector == "mf-simplified" else cfg.n_r
     max_batch = max(1, (1 << 21) // (cfg.n_t * per_use_size))
     noise_scale = np.float32(np.sqrt(sigma2_n))
@@ -181,13 +192,15 @@ def de_iterate(
 
     Inputs to each check are drawn uniformly with replacement.  Variable
     nodes have degree 2, so a new sample multiplies exactly one check
-    output with a fresh channel prior.
+    output with a fresh channel prior.  Each chunk of cfg.chunk new
+    samples draws, in this order, its fresh channel priors, its check
+    inputs and its edge coefficients, so no ensemble-sized array besides
+    the result is made.
     """
     L = len(ensemble)
     field = cfg.field
     qsize = field.size
     d_in = cfg.d_c - 1
-    fresh = _fresh_samples(cfg, L, rng)
 
     out = np.empty_like(ensemble)
     mt = field.mul_table
@@ -197,6 +210,7 @@ def de_iterate(
     for lo in range(0, L, cfg.chunk):
         hi = min(lo + cfg.chunk, L)
         b = hi - lo
+        fresh = _fresh_samples(cfg, b, rng)
         idx = rng.integers(0, L, size=(b, d_in))
         coefs_in = rng.integers(1, qsize, size=(b, d_in))
         coef_out = rng.integers(1, qsize, size=b)
@@ -207,9 +221,10 @@ def de_iterate(
         conv /= qsize
         rows = np.arange(b)[:, None] * qsize
         c2v = conv.reshape(-1)[rows + mt[coef_out]]
-        c2v = np.maximum(c2v, MSG_FLOOR)
-        combined = np.maximum(fresh[lo:hi] * c2v, MSG_FLOOR)
-        out[lo:hi] = combined / combined.sum(axis=1, keepdims=True)
+        np.maximum(c2v, MSG_FLOOR, out=c2v)
+        fresh *= c2v  # the renewed rows, before the floor and normalization
+        np.maximum(fresh, MSG_FLOOR, out=fresh)
+        np.divide(fresh, fresh.sum(axis=1, keepdims=True), out=out[lo:hi])
     return out
 
 

@@ -32,9 +32,11 @@ density evolution) detects through it.  Every detector takes leading batch axes,
 h of shape (..., N_r, N_t) and y of shape (..., N_r), and gives the same
 bits as one call per channel use.
 
-Per-stream likelihood tables are aggregated into GF(2^m) symbol priors by
-multiplying the q per-stream likelihoods selected by each symbol's bit
-representation.
+Per-stream likelihood tables are aggregated into GF(2^m) symbol priors:
+the prior of a symbol is the product of the q per-stream likelihoods
+selected by its bit representation.  `symbol_priors` forms all 2^m
+products of a symbol as a chain of outer products, one stream at a time,
+so each product costs one multiplication instead of q - 1.
 """
 
 from __future__ import annotations
@@ -272,8 +274,14 @@ def symbol_priors(likelihoods: np.ndarray, field: FieldTable) -> np.ndarray:
 
     Streams k .. k+q-1 carry one coded symbol; the prior of symbol value x
     is the product of the q likelihoods of the modulated symbols whose
-    concatenated labels equal the bit representation of x.  Aggregation
-    costs 2^m (q - 1) real multiplications per coded symbol.
+    concatenated labels equal the bit representation of x, stream j
+    holding bits j p .. (j + 1) p - 1 of x.  The products are built one
+    stream at a time as symbol-major (2^{(j+1) p}, n) outer products, in
+    the order ((l_0 l_1) l_2) ..., and normalized by a sum over symbol
+    values in that same order.  Aggregation costs fewer than
+    2^m M / (M - 1) real multiplications per coded symbol (M = 2^p).  The
+    result is the transpose of that array: an (n, 2^m) array whose symbol
+    axis has the longer stride.
     """
     n_streams, m_points = likelihoods.shape
     p = int(np.log2(m_points))
@@ -288,14 +296,17 @@ def symbol_priors(likelihoods: np.ndarray, field: FieldTable) -> np.ndarray:
         )
     n_symbols = n_streams // q
 
-    x = np.arange(field.size)
-    shifts = np.arange(q) * p
-    label_map = (x[None, :] >> shifts[:, None]) & (m_points - 1)  # (q, 2^m)
-
-    grouped = likelihoods.reshape(n_symbols, q, m_points)
-    factors = grouped[:, np.arange(q)[:, None], label_map]  # (n_symbols, q, 2^m)
-    priors = np.multiply.reduce(factors, axis=1)
-    return priors / priors.sum(axis=1, keepdims=True)
+    # by_stream[j] is stream j's (M, n_symbols) table, label-major; a
+    # contiguous copy keeps each outer product's inner loop unit-stride.
+    by_stream = np.ascontiguousarray(
+        likelihoods.reshape(n_symbols, q, m_points).transpose(1, 2, 0)
+    )
+    priors = by_stream[0].copy()  # normalized in place below
+    for j in range(1, q):
+        # Row x_j 2^{jp} + x_low of the product is l_j[x_j] times row x_low.
+        priors = (priors * by_stream[j][:, None, :]).reshape(-1, n_symbols)
+    priors /= priors.sum(axis=0)
+    return priors.T
 
 
 def mf_interference_samples(

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import entr
 
 from nbmimo import de
 from nbmimo.channel import gray_constellation, sample_iid, snr_to_noise, transmit
@@ -82,6 +85,23 @@ def per_use_priors(cfg, uses, rng):
     return symbol_priors(np.concatenate(blocks), cfg.field)
 
 
+def take_along_axis_renewal(ens, fresh, cfg, rng):
+    """Renewed rows for the given fresh priors, with np.take_along_axis
+    rotations: draws check inputs, input and output edge coefficients."""
+    f = cfg.field
+    L, qsize = ens.shape
+    b = len(fresh)
+    idx = rng.integers(0, L, size=(b, cfg.d_c - 1))
+    coefs_in = rng.integers(1, qsize, size=idx.shape)
+    coef_out = rng.integers(1, qsize, size=b)
+    rotated = np.take_along_axis(ens[idx], f.mul_table[f.inv_table[coefs_in]], axis=2)
+    conv = fwht(fwht(rotated).prod(axis=1)) / qsize
+    c2v = np.take_along_axis(conv, f.mul_table[coef_out], axis=1)
+    c2v = np.maximum(c2v, MSG_FLOOR)
+    combined = np.maximum(fresh * c2v, MSG_FLOOR)
+    return combined / combined.sum(axis=1, keepdims=True)
+
+
 def full_channel_mf_estimates(n_t, n_r, sigma2, uses, rng):
     """Simplified-MF estimates of the zero codeword through a drawn H."""
     point0 = gray_constellation(2, symbol_energy=1 / n_t).points[0]
@@ -114,6 +134,15 @@ class TestEntropy:
     def test_gf4_uniform(self):
         f = build_field(2)
         assert ensemble_entropy(np.full((4, 4), 0.25), f) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("rows", [2 * de._ENTROPY_ROWS + 5, 100])
+    def test_chunked_sum_equals_whole_array_sum(self, rows):
+        # Row entropies summed chunk by chunk give the bits of one
+        # entr(p).sum(axis=1) over the whole ensemble.
+        f = build_field(8)
+        p = np.random.default_rng(35).dirichlet(np.full(256, 0.05), size=rows)
+        want = float(entr(p).sum(axis=1).mean() / (np.log(2) * f.m))
+        assert ensemble_entropy(p, f) == want
 
 
 class TestConfig:
@@ -291,30 +320,67 @@ class TestIterate:
 
     def test_flat_gathers_match_take_along_axis(self):
         # de_iterate written with np.take_along_axis rotations, in the
-        # same RNG order, gives the same bits.
+        # same per-chunk RNG order (fresh priors, check inputs, edge
+        # coefficients), gives the same bits.
         cfg = small_config(gamma0_db=1.0, ensemble_size=1500, chunk=512)
         ens = de_initial_ensemble(cfg, np.random.default_rng(25))
         got = de_iterate(ens, cfg, np.random.default_rng(26))
 
         rng = np.random.default_rng(26)
-        f = cfg.field
-        L, qsize = ens.shape
+        L = len(ens)
+        want = np.empty_like(ens)
+        for lo in range(0, L, cfg.chunk):
+            hi = min(lo + cfg.chunk, L)
+            fresh = de._fresh_samples(cfg, hi - lo, rng)
+            want[lo:hi] = take_along_axis_renewal(ens, fresh, cfg, rng)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("detector", ["mf-simplified", "mmse"])
+    def test_per_chunk_fresh_draws_match_full_draw_in_law(self, detector):
+        # The renewal drew all L fresh priors before any check-node work;
+        # it now draws them chunk by chunk.  Given the input ensemble, rows
+        # whose fresh priors come from different channel uses are i.i.d.
+        # under both orders; every other row keeps one per use (n_t / m = 2
+        # per use), so two-sample KS tests (alpha = 0.001 each) of per-row
+        # statistics are exact.
+        cfg = small_config(
+            gamma0_db=-1.0, ensemble_size=3000, chunk=512, detector=detector
+        )
+        ens = de_initial_ensemble(cfg, np.random.default_rng(30))
+        got = de_iterate(ens, cfg, np.random.default_rng(31))
+
+        rng = np.random.default_rng(32)
+        L = len(ens)
         fresh = de._fresh_samples(cfg, L, rng)
         want = np.empty_like(ens)
         for lo in range(0, L, cfg.chunk):
             hi = min(lo + cfg.chunk, L)
-            idx = rng.integers(0, L, size=(hi - lo, cfg.d_c - 1))
-            coefs_in = rng.integers(1, qsize, size=idx.shape)
-            coef_out = rng.integers(1, qsize, size=hi - lo)
-            rotated = np.take_along_axis(
-                ens[idx], f.mul_table[f.inv_table[coefs_in]], axis=2
-            )
-            conv = fwht(fwht(rotated).prod(axis=1)) / qsize
-            c2v = np.take_along_axis(conv, f.mul_table[coef_out], axis=1)
-            c2v = np.maximum(c2v, MSG_FLOOR)
-            combined = np.maximum(fresh[lo:hi] * c2v, MSG_FLOOR)
-            want[lo:hi] = combined / combined.sum(axis=1, keepdims=True)
-        assert np.array_equal(got, want)
+            want[lo:hi] = take_along_axis_renewal(ens, fresh[lo:hi], cfg, rng)
+        for stat in (
+            lambda e: e[:, 0],
+            lambda e: e.max(axis=1),
+            lambda e: entr(e).sum(axis=1),
+        ):
+            assert stats.ks_2samp(stat(got[::2]), stat(want[::2])).pvalue > 1e-3
+
+    def test_holds_no_full_size_fresh_array(self):
+        # Allocations traced while renewing an L = 2e4 ensemble stay below
+        # the result plus one chunk of work.  A chunk's fresh priors, gather
+        # index and transforms measure about 11 chunk-sized float64 arrays
+        # at d_c = 3; the bound allows 16.  A full-L fresh array would add
+        # L q float64 entries, 41 MB against the 8 MB allowance.
+        cfg = small_config(gamma0_db=0.0, ensemble_size=20_000, chunk=512)
+        ens = de_initial_ensemble(cfg, np.random.default_rng(33))
+        rng = np.random.default_rng(34)
+        de_iterate(ens[:2048], cfg, rng)  # first-call set-up outside the trace
+        chunk_bytes = cfg.chunk * cfg.field.size * 8
+        tracemalloc.start()
+        try:
+            de_iterate(ens, cfg, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ens.nbytes + 16 * chunk_bytes
 
     def test_entropy_drops_well_above_threshold(self):
         cfg = small_config(gamma0_db=4.0, ensemble_size=1024)

@@ -8,6 +8,7 @@ import pytest
 from nbmimo.code import SparseParityMatrix, build_code_spec, syndrome
 from nbmimo.decoder import (
     DecodeResult,
+    DecoderError,
     _BpGraph,
     _hadamard,
     _leave_one_out_product,
@@ -122,6 +123,14 @@ class TestFwht:
             assert np.abs(got - want).max() <= 1e-12 * scale
             assert np.array_equal(a, before)
 
+    def test_in_place_with_work_array_gives_same_bits(self):
+        # The decoder transforms its buffers in place through a work array.
+        a = np.random.default_rng(110).dirichlet(np.ones(256), size=(40,))
+        want = fwht(a)
+        work = np.empty_like(a)
+        assert fwht(a, out=a, work=work) is a
+        assert np.array_equal(a, want)
+
     def test_rejects_length_not_power_of_two(self):
         for n in (0, 12, 96):
             with pytest.raises(ValueError, match=f"got {n}$"):
@@ -135,24 +144,31 @@ class TestFastPathsEqualReference:
     def test_leave_one_out_bit_equal_to_cumprod(self, d):
         rng = np.random.default_rng(200 + d)
         values = rng.normal(size=(d, 13, 16))
-        got = _leave_one_out_product(values)
+        got = _leave_one_out_product(values.copy(), np.empty_like(values))
         assert np.array_equal(got, cumprod_leave_one_out(values))
         for j in range(d):
             want = np.prod(np.delete(values, j, axis=0), axis=0)
             assert np.allclose(got[j], want, rtol=1e-12, atol=0)
 
     def test_flat_gathers_bit_equal_to_take_along_axis(self):
+        # gather_in takes variable-slot rows to rotated check-slot rows;
+        # gather_out takes check-slot rows to rotated variable-slot rows.
         f = build_field(8)
         spec = build_code_spec(60, 3, f, seed=19)
         m = spec.matrix
         graph = _BpGraph(m, f)
+        _, check_edges, _ = graph._slot_order(m.edge_row, m.n_checks)
+        _, var_edges, _ = graph._slot_order(m.edge_col, m.n_symbols)
         rng = np.random.default_rng(20)
         msgs = rng.dirichlet(np.ones(f.size), size=m.n_edges)
         rot_fwd = f.mul_table[m.edge_coef]
         rot_inv = f.mul_table[f.inv_table[m.edge_coef]]
-        for flat, rot in ((graph.gather_fwd, rot_fwd), (graph.gather_inv, rot_inv)):
-            got = msgs.take(flat).reshape(msgs.shape)
-            assert np.array_equal(got, np.take_along_axis(msgs, rot, axis=1))
+        got = msgs[var_edges].take(graph.gather_in).reshape(msgs.shape)
+        want = np.take_along_axis(msgs, rot_inv, axis=1)[check_edges]
+        assert np.array_equal(got, want)
+        got = msgs[check_edges].take(graph.gather_out).reshape(msgs.shape)
+        want = np.take_along_axis(msgs, rot_fwd, axis=1)[var_edges]
+        assert np.array_equal(got, want)
 
 
 class TestDecodeBasics:
@@ -215,6 +231,19 @@ class TestDecodeBasics:
         finally:
             gc.enable()
 
+    def test_unchecked_variable_keeps_its_prior(self):
+        # Symbol 0 touches no check, so BP stores it after the checked ones;
+        # its posterior is its normalized prior on every decode.
+        f = build_field(2)
+        m = SparseParityMatrix(2, 1, 3, [(0, 1, 1), (0, 2, 3)])
+        rng = np.random.default_rng(22)
+        for _ in range(2):
+            priors = rng.dirichlet(np.ones(4), size=3)
+            res = decode(priors, m, f, max_iterations=3, early_stop=False,
+                         keep_posteriors=True)
+            assert np.allclose(res.posteriors[0], priors[0] / priors[0].sum(), atol=1e-15)
+            assert np.allclose(res.posteriors.sum(axis=1), 1.0, atol=1e-12)
+
     def test_posteriors_returned_when_requested(self):
         f = build_field(2)
         m = tree_matrix_gf4()
@@ -223,6 +252,64 @@ class TestDecodeBasics:
         res = decode(priors, m, f, max_iterations=5, keep_posteriors=True)
         assert res.posteriors is not None
         assert np.allclose(res.posteriors.sum(axis=1), 1.0, atol=1e-9)
+
+
+def noisy_priors(spec, rng, corrupted):
+    """Confident priors on a random codeword, with some symbols erased."""
+    f = spec.field
+    x = spec.encode(rng.integers(0, f.size, size=spec.k_symbols))
+    priors = rng.dirichlet(np.full(f.size, 0.3), size=spec.n_symbols)
+    priors[np.arange(spec.n_symbols), x] += 1.0
+    priors[rng.choice(spec.n_symbols, size=corrupted, replace=False)] = 1.0
+    return priors
+
+
+def run_bp(spec, priors, **kw):
+    return decode(priors, spec.matrix, spec.field, max_iterations=30, **kw)
+
+
+class TestWorkspace:
+    """The graph's work buffers live across decodes; no decode may see another's."""
+
+    def assert_equals_fresh_graph_decode(self, got, priors):
+        want = run_bp(build_code_spec(60, 3, build_field(8), seed=5), priors,
+                      keep_posteriors=True)
+        assert np.array_equal(got.hard, want.hard)
+        assert got.iterations_used == want.iterations_used
+        assert got.converged == want.converged
+        assert np.array_equal(got.posteriors, want.posteriors)
+
+    def test_decodes_on_one_graph_equal_fresh_graph_decodes(self):
+        spec = build_code_spec(60, 3, build_field(8), seed=5)
+        # The first input runs out all 30 iterations; the second converges
+        # after 4, on buffers the first left full.
+        rng = np.random.default_rng(51)
+        for priors in [noisy_priors(spec, rng, k) for k in (30, 25)]:
+            got = run_bp(spec, priors, keep_posteriors=True)
+            assert got.iterations_used > 1
+            self.assert_equals_fresh_graph_decode(got, priors)
+
+    def test_posteriors_are_not_a_view_of_a_buffer(self):
+        spec = build_code_spec(60, 3, build_field(8), seed=5)
+        rng = np.random.default_rng(51)
+        res = run_bp(spec, noisy_priors(spec, rng, 12), keep_posteriors=True)
+        kept = res.posteriors.copy()
+        for buf in spec.matrix._bp_graph.buffers:
+            assert not np.shares_memory(res.posteriors, buf)
+        run_bp(spec, noisy_priors(spec, rng, 6))
+        assert np.array_equal(res.posteriors, kept)
+
+    def test_decoder_error_leaves_next_decode_correct(self):
+        spec = build_code_spec(60, 3, build_field(8), seed=5)
+        rng = np.random.default_rng(52)
+        bad = noisy_priors(spec, rng, 12)
+        bad[7] = np.nan
+        with pytest.raises(DecoderError, match="iteration 1"):
+            run_bp(spec, bad, early_stop=False)
+        priors = noisy_priors(spec, rng, 12)
+        got = run_bp(spec, priors, keep_posteriors=True)
+        assert got.iterations_used > 1
+        self.assert_equals_fresh_graph_decode(got, priors)
 
 
 class TestOracleEquivalence:

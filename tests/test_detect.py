@@ -553,7 +553,37 @@ class TestSoftDetect:
             soft_detect(kind, h, y, sigma2, c)
 
 
+def gathered_symbol_priors(likelihoods, field):
+    """Reference aggregation: gather each symbol's q factors by its labels,
+    multiply them with np.multiply.reduce, normalize over symbol values."""
+    n_streams, m_points = likelihoods.shape
+    p = int(np.log2(m_points))
+    q = field.m // p
+    x = np.arange(field.size)
+    label_map = (x[None, :] >> (np.arange(q) * p)[:, None]) & (m_points - 1)
+    grouped = likelihoods.reshape(n_streams // q, q, m_points)
+    factors = grouped[:, np.arange(q)[:, None], label_map]  # (n_symbols, q, 2^m)
+    priors = np.multiply.reduce(factors, axis=1)
+    return priors / priors.sum(axis=1, keepdims=True)
+
+
 class TestSymbolPriors:
+    @pytest.mark.parametrize(
+        "m,p", [(8, 1), (8, 2), (8, 4), (8, 8), (4, 1), (4, 2), (4, 4)]
+    )
+    def test_outer_products_equal_gathered_reference(self, m, p):
+        # Same bits and same strides as the reference: its product is
+        # stored symbol-major and its normalizing sum runs over symbol
+        # values in order, which a C-ordered, pairwise-summed result would
+        # miss in the last bit of most entries.
+        f = build_field(m)
+        rng = np.random.default_rng(40 + m + p)
+        rows = rng.dirichlet(np.full(2**p, 0.7), size=37 * (m // p))
+        got = symbol_priors(rows, f)
+        want = gathered_symbol_priors(rows, f)
+        assert np.array_equal(got, want)
+        assert got.strides == want.strides
+
     def test_qpsk_worked_example(self):
         # L(x) = [00 01 11 10] with QPSK: the prior of that symbol is the
         # product of the four per-stream likelihoods at labels (0, 2, 3, 1).
