@@ -37,10 +37,6 @@ class Constellation:
         shifts = np.arange(self.bits_per_symbol)
         return (np.asarray(labels)[..., None] >> shifts) & 1
 
-    def bits_to_labels(self, bits: np.ndarray) -> np.ndarray:
-        weights = 1 << np.arange(self.bits_per_symbol)
-        return (np.asarray(bits) * weights).sum(axis=-1)
-
 
 # Per-axis Gray maps: position index along the axis for each bit pattern.
 _GRAY_AXIS_4 = np.array([0, 1, 3, 2])      # 2 bits: 00,01,11,10 -> -3,-1,+1,+3
@@ -196,6 +192,20 @@ def snr_to_noise(gamma_db: float) -> float:
     return 1.0 / (2.0 * 10.0 ** (gamma_db / 10.0))
 
 
+def instantaneous_capacity(h: np.ndarray, gamma_db: float) -> float:
+    """log2 det(I + (gamma/N_t) H H^H) of one channel matrix H (N_r x N_t).
+
+    The log det comes from a Cholesky factor of the Gram matrix.
+    """
+    scale = 10.0 ** (gamma_db / 10.0) / h.shape[1]
+    gram = zherk(scale, h)  # upper triangle of scale * H H^H
+    gram[np.diag_indices_from(gram)] += 1.0
+    factor, info = zpotrf(gram, overwrite_a=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Cholesky factorization failed ({info})")
+    return 2.0 * np.log(factor.diagonal().real).sum() / np.log(2.0)
+
+
 def ergodic_capacity(
     n_t: int,
     n_r: int,
@@ -203,39 +213,22 @@ def ergodic_capacity(
     trials: int,
     rng: np.random.Generator,
     corr: CorrelationSpec | None = None,
-    h_fixed: np.ndarray | None = None,
 ) -> tuple[float, float]:
-    """Monte Carlo mean of log2 det(I + (gamma/N_t) H H^H), with std error.
+    """Monte Carlo mean of `instantaneous_capacity`, with std error.
 
-    `h_fixed` evaluates the closed form on a deterministic matrix (test
-    hook); `corr` draws doubly correlated realizations.
-
-    A correlated trial is drawn in the eigenbasis of the correlation
-    matrices.  With R = U Lambda U^T, the Kronecker channel is
+    `corr` draws doubly correlated realizations.  A correlated trial is
+    drawn in the eigenbasis of the correlation matrices.  With
+    R = U Lambda U^T, the Kronecker channel is
     H = U_r Lambda_r^{1/2} U_r^T W U_t Lambda_t^{1/2} U_t^T.  The log det
     does not change under the unitary U_r on the left and U_t^T on the
     right, and U_r^T W U_t has the law of the i.i.d. W.  So
     Lambda_r^{1/2} W Lambda_t^{1/2}, a diagonal scaling of W, gives the
     capacity the same law as the full product (Tulino & Verdu, Random
     Matrix Theory and Wireless Communications, 2004).  This holds for
-    capacity only; detection draws H itself (`apply_correlation`).  The
-    log det comes from a Cholesky factor of the Gram matrix.
+    capacity only; detection draws H itself (`apply_correlation`).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    scale = 10.0 ** (gamma_db / 10.0) / n_t
-
-    def log2_det(h):
-        gram = zherk(scale, h)  # upper triangle of scale * H H^H
-        gram[np.diag_indices_from(gram)] += 1.0
-        factor, info = zpotrf(gram, overwrite_a=True)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"Cholesky factorization failed ({info})")
-        return 2.0 * np.log(factor.diagonal().real).sum() / np.log(2.0)
-
-    if h_fixed is not None:
-        return log2_det(h_fixed), 0.0
-
     if corr is not None:
         root_r = np.sqrt(corr.eig_r)[:, None]
         root_t = np.sqrt(corr.eig_t)
@@ -244,7 +237,7 @@ def ergodic_capacity(
         h = sample_iid(n_t, n_r, rng)
         if corr is not None:
             h = root_r * h * root_t
-        vals[t] = log2_det(h)
+        vals[t] = instantaneous_capacity(h, gamma_db)
     se = vals.std(ddof=1) / np.sqrt(trials) if trials > 1 else 0.0
     return float(vals.mean()), float(se)
 

@@ -18,6 +18,12 @@ import numpy as np
 from nbmimo.galois import FieldTable
 
 
+# Full restarts `construct_regular` makes, and whole-matrix redraws
+# `build_code_spec` makes, before giving up.
+MAX_RESTARTS = 200
+MAX_REDRAWS = 20
+
+
 class CodeConstructionError(ValueError):
     """Raised when a parity-check matrix cannot be built as requested."""
 
@@ -103,7 +109,7 @@ def syndrome(x, matrix: SparseParityMatrix, field: FieldTable) -> np.ndarray:
 
 
 def construct_regular(
-    n_symbols: int, d_c: int, field: FieldTable, seed: int, max_restarts: int = 200
+    n_symbols: int, d_c: int, field: FieldTable, seed: int
 ) -> SparseParityMatrix:
     """Random (d_v=2, d_c)-regular matrix, 4-cycle free, deterministic per seed.
 
@@ -127,7 +133,7 @@ def construct_regular(
         )
 
     rng = np.random.default_rng(seed)
-    for _ in range(max_restarts):
+    for _ in range(MAX_RESTARTS):
         budget = np.full(n_checks, d_c, dtype=np.int64)
         used_pairs: set[tuple[int, int]] = set()
         col_rows = np.empty((n_symbols, 2), dtype=np.int64)
@@ -166,7 +172,7 @@ def construct_regular(
 
     raise CodeConstructionError(
         f"failed to place {n_symbols} 4-cycle-free columns after "
-        f"{max_restarts} restarts; a larger N usually fixes this"
+        f"{MAX_RESTARTS} restarts; a larger N usually fixes this"
     )
 
 
@@ -282,20 +288,14 @@ class CodeSpec:
         return acc
 
 
-def build_code_spec(
-    n_symbols: int,
-    d_c: int,
-    field: FieldTable,
-    seed: int,
-    max_redraws: int = 20,
-) -> CodeSpec:
+def build_code_spec(n_symbols: int, d_c: int, field: FieldTable, seed: int) -> CodeSpec:
     """Construct a full-rank (2, d_c)-regular code, redrawing if necessary.
 
     Rank deficiency is resolved by redrawing the whole matrix (keeping the
     rate exact) rather than deleting rows.  The redraw count is folded into
     the seed so the result stays deterministic.
     """
-    for attempt in range(max_redraws):
+    for attempt in range(MAX_REDRAWS):
         matrix = construct_regular(n_symbols, d_c, field, seed + 1_000_003 * attempt)
         dense = matrix.to_dense()
         work = dense.copy()
@@ -318,17 +318,18 @@ def build_code_spec(
             construction_seed=seed,
         )
     raise CodeConstructionError(
-        f"could not draw a full-rank matrix in {max_redraws} attempts"
+        f"could not draw a full-rank matrix in {MAX_REDRAWS} attempts"
     )
 
 
-def lower_rate(spec: CodeSpec, target_rate: Fraction, seed: int | None = None) -> CodeSpec:
+def lower_rate(spec: CodeSpec, target_rate: Fraction) -> CodeSpec:
     """Derive a lower-rate spec by multiplicative repetition.
 
     target_rate must equal base_rate / t for an integer t >= 1.  Copy 0 is
     the plain codeword; copies 1..t-1 carry independent uniform nonzero
-    coefficients per symbol.  The Tanner graph is unchanged, so decoding
-    cost stays that of the base code.
+    coefficients per symbol, drawn from the construction seed plus
+    7_777_777.  The Tanner graph is unchanged, so decoding cost stays that
+    of the base code.
     """
     base = Fraction(spec.k_symbols, spec.n_symbols)
     t = base / Fraction(target_rate)
@@ -339,9 +340,7 @@ def lower_rate(spec: CodeSpec, target_rate: Fraction, seed: int | None = None) -
     t = int(t)
     if t == 1:
         return spec
-    if seed is None:
-        seed = (spec.construction_seed or 0) + 7_777_777
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng((spec.construction_seed or 0) + 7_777_777)
     coefs = np.ones((t, spec.n_symbols), dtype=np.int64)
     coefs[1:] = rng.integers(1, spec.field.size, size=(t - 1, spec.n_symbols))
     return replace(spec, repeat_coefs=coefs)

@@ -21,8 +21,6 @@ import numpy as np
 @dataclass(frozen=True)
 class FlopModel:
     real_mul: int = 1
-    complex_mul: int = 3
-    real_add: int = 1
     complex_add: int = 1
     exp: int = 50
 

@@ -161,19 +161,21 @@ class ExperimentConfig:
         for v in self.est_error_vars:
             if v < 0:
                 errors.append(f"estimation error variance {v} is negative")
-
-        if self.modulation in (2, 4, 16):
-            p = self.bits_per_point
-            if self.m % p != 0:
-                errors.append(
-                    f"bits per modulated symbol {p} must divide m = {self.m}"
-                )
-            else:
-                q = self.m // p
-                if self.n_t % q != 0:
-                    errors.append(f"n_t = {self.n_t} not divisible by q = {q}")
+        if self.command in ("ber", "uncoded", "threshold") and not self.detectors:
+            errors.append("[detector] kind names no detector")
 
         if self.command in ("ber", "threshold"):
+            # Only these commands map code symbols onto the antennas.
+            if self.modulation in (2, 4, 16):
+                p = self.bits_per_point
+                if self.m % p != 0:
+                    errors.append(
+                        f"bits per modulated symbol {p} must divide m = {self.m}"
+                    )
+                elif self.n_t % (self.m // p) != 0:
+                    errors.append(
+                        f"n_t = {self.n_t} not divisible by q = {self.m // p}"
+                    )
             if not 2 <= self.m <= 8:
                 errors.append(f"field degree m = {self.m} out of range [2, 8]")
             if self.d_c < 2:
@@ -194,9 +196,15 @@ class ExperimentConfig:
                 errors.append("stop rule needs max_frames >= 1")
             if not self.gamma_db:
                 errors.append("sweep has no SNR points")
+            if not self.est_error_vars:
+                errors.append("[channel] est_error_var lists no variance")
         if self.command == "capacity":
             if self.capacity_trials < 1:
                 errors.append("capacity needs at least one trial")
+            if not self.gamma_db:
+                errors.append("sweep has no SNR points")
+            if not self.capacity_rho:
+                errors.append("[capacity] rho lists no correlation")
             for r in self.capacity_rho:
                 if not 0 <= r < 1:
                     errors.append(f"capacity rho {r} outside [0, 1)")
@@ -210,6 +218,12 @@ class ExperimentConfig:
                 errors.append("density evolution supports BPSK only")
             if self.de_ensemble_size < 10_000:
                 errors.append("density evolution ensemble must hold >= 10^4 nodes")
+            if self.de_max_iterations < 1:
+                errors.append("de max_iterations must be >= 1")
+            if not self.de_repeat_factors:
+                errors.append("de repeat_factors lists no factor")
+            if any(t < 1 for t in self.de_repeat_factors):
+                errors.append("de repeat_factors must be >= 1")
             if self.de_step_db <= 0:
                 errors.append("de step_db must be positive")
             if not 0 < self.de_h_stop < 1:
@@ -219,9 +233,15 @@ class ExperimentConfig:
                     "de gamma0_db must list one starting SNR per repeat factor"
                 )
         if self.command == "flops":
+            if not self.flops_n_r:
+                errors.append("flops n_r lists no antenna count")
             if any(n < 1 for n in self.flops_n_r):
                 errors.append("flops n_r values must be positive")
         if self.command == "ksdelta":
+            if len(self.gamma_db) != 1:
+                errors.append(
+                    f"ksdelta runs at one SNR; [sweep] gamma_db lists {len(self.gamma_db)}"
+                )
             if self.ks_samples < 1000:
                 errors.append("ksdelta needs at least 10^3 samples")
             if not 0 < self.ks_significance < 1:

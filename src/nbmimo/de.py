@@ -49,11 +49,16 @@ class ThresholdSearchError(RuntimeError):
 MAX_POINTS = 500
 # Ensemble rows `ensemble_entropy` takes at once.
 _ENTROPY_ROWS = 8192
+# New samples `de_iterate` renews at once.
+CHUNK = 8192
 
 
 @dataclass
 class DeConfig:
-    """Ensemble, iteration, and SNR-descent parameters plus the system."""
+    """Ensemble, iteration, and SNR-descent parameters plus the system.
+
+    `field` is always GF(2^m) with its default polynomial.
+    """
 
     n_t: int = 200
     n_r: int = 200
@@ -67,8 +72,7 @@ class DeConfig:
     gamma0_db: float = -3.0
     step_db: float = 0.05
     h_stop: float = 1e-6
-    chunk: int = 8192
-    field: FieldTable = dc_field(default=None, repr=False)
+    field: FieldTable = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         if self.modulation != 2:
@@ -82,8 +86,7 @@ class DeConfig:
             raise ValueError("h_stop must lie in (0, 1)")
         if self.detector not in DETECTORS:
             raise ValueError(f"unknown detector {self.detector!r}")
-        if self.field is None:
-            self.field = build_field(self.m)
+        self.field = build_field(self.m)
         if self.n_t % self.m != 0:
             raise ValueError("n_t must be divisible by q = m for BPSK")
 
@@ -192,7 +195,7 @@ def de_iterate(
 
     Inputs to each check are drawn uniformly with replacement.  Variable
     nodes have degree 2, so a new sample multiplies exactly one check
-    output with a fresh channel prior.  Each chunk of cfg.chunk new
+    output with a fresh channel prior.  Each chunk of CHUNK new
     samples draws, in this order, its fresh channel priors, its check
     inputs and its edge coefficients, so no ensemble-sized array besides
     the result is made.
@@ -207,8 +210,8 @@ def de_iterate(
     # Row c maps x -> c^{-1} x: the input rotation under edge coefficient c.
     rot_in = mt[field.inv_table]
     flat_ens = ensemble.reshape(-1)
-    for lo in range(0, L, cfg.chunk):
-        hi = min(lo + cfg.chunk, L)
+    for lo in range(0, L, CHUNK):
+        hi = min(lo + CHUNK, L)
         b = hi - lo
         fresh = _fresh_samples(cfg, b, rng)
         idx = rng.integers(0, L, size=(b, d_in))

@@ -105,7 +105,7 @@ def _normalize(msgs: np.ndarray) -> np.ndarray:
 
 
 class _BpGraph:
-    """Edge bookkeeping and work buffers for one parity-check matrix.
+    """Edge bookkeeping for one parity-check matrix.
 
     Built once and cached on the matrix.  Node updates see the edges of
     each distinct node degree as one slot-major (degree, n_nodes, q)
@@ -117,12 +117,10 @@ class _BpGraph:
     check-slot order; two composed flat gathers move messages between the
     orders and apply the edge rotations, one pass each.
 
-    The (n_edges, q) work buffers and the posterior buffer live as long
-    as the graph, so no BP iteration allocates a message-sized array and
-    its cost does not depend on what earlier code left in the allocator.
-    One graph serves one decode at a time.  The graph keeps no reference
-    to its matrix: the matrix caches the graph, and a back reference
-    would make a cycle that only a full garbage collection frees.
+    The graph holds no mutable state, so any number of decodes may share
+    it.  It keeps no reference to its matrix: the matrix caches the
+    graph, and a back reference would make a cycle that only a full
+    garbage collection frees.
     """
 
     def __init__(self, matrix: SparseParityMatrix, field: FieldTable):
@@ -152,10 +150,6 @@ class _BpGraph:
         self.gather_out = (
             check_row[var_edges][:, None] * q + mt[coefs[var_edges]]
         ).ravel()
-        # (v2c, c2v, spectra, post): three message arrays and the posteriors.
-        self.buffers = tuple(np.empty((matrix.n_edges, q)) for _ in range(3)) + (
-            np.empty((matrix.n_symbols, q)),
-        )
 
     @staticmethod
     def _slot_order(owner: np.ndarray, n_nodes: int):
@@ -271,18 +265,18 @@ def decode(
             hard, 0, True, priors[graph.var_rank] if keep_posteriors else None
         )
 
-    v2c, c2v, spectra, post_buf = graph.buffers
+    # The message arrays and the posteriors are allocated once per decode,
+    # so no BP iteration makes a message-sized array.
+    v2c, c2v, spectra = (np.empty((matrix.n_edges, field.size)) for _ in range(3))
     for d, first, n, start in graph.var_blocks:
         v2c[start : start + d * n].reshape(d, n, -1)[...] = priors[first : first + n]
-    post_buf[...] = priors
-    post = priors
+    post = priors.copy()
     converged = False
     iterations = max_iterations
     for it in range(1, max_iterations + 1):
         graph.check_update(v2c, c2v, spectra)
         _normalize(c2v)
-        graph.var_update(c2v, priors, v2c, post_buf)
-        post = post_buf
+        graph.var_update(c2v, priors, v2c, post)
         if not np.all(np.isfinite(post)):
             raise DecoderError(f"non-finite posterior at iteration {it}")
         hard = post.argmax(axis=1)[graph.var_rank]

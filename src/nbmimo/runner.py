@@ -31,7 +31,7 @@ from nbmimo.channel import (
     transmit,
 )
 from nbmimo.code import build_code_spec, lower_rate
-from nbmimo.complexity import flops_mmse, flops_proposed
+from nbmimo.complexity import flop_ratio, flops_mmse, flops_proposed
 from nbmimo.config import ExperimentConfig
 from nbmimo.de import DeConfig, find_threshold
 from nbmimo.decoder import decode
@@ -250,33 +250,21 @@ def run_threshold(cfg: ExperimentConfig) -> list[dict]:
         result = find_threshold(de_cfg, seed=cfg.master_seed + t)
         rate = cfg.base_rate / t
         se = spectral_efficiency(cfg.bits_per_point, rate, cfg.n_t)
+        # The CSV columns in order; a row leaves the ones it does not fill empty.
+        base = {
+            "record": "trajectory",
+            "repeat_factor": t,
+            "rate": str(rate),
+            "spectral_efficiency": se,
+            "gamma_db": "",
+            "iterations": "",
+            "entropy": "",
+            "decoded": "",
+            "threshold_db": "",
+        }
         for row in result.trajectory:
-            out.append(
-                {
-                    "record": "trajectory",
-                    "repeat_factor": t,
-                    "rate": str(rate),
-                    "spectral_efficiency": se,
-                    "gamma_db": row["gamma_db"],
-                    "iterations": row["iterations"],
-                    "entropy": row["entropy"],
-                    "decoded": int(row["decoded"]),
-                    "threshold_db": "",
-                }
-            )
-        out.append(
-            {
-                "record": "threshold",
-                "repeat_factor": t,
-                "rate": str(rate),
-                "spectral_efficiency": se,
-                "gamma_db": "",
-                "iterations": "",
-                "entropy": "",
-                "decoded": "",
-                "threshold_db": result.threshold_db,
-            }
-        )
+            out.append({**base, **row, "decoded": int(row["decoded"])})
+        out.append({**base, "record": "threshold", "threshold_db": result.threshold_db})
     return out
 
 
@@ -296,7 +284,7 @@ def run_flops(cfg: ExperimentConfig) -> list[dict]:
                 "mmse_detect": md,
                 "mmse_soft": ms,
                 "mmse_total": md + ms,
-                "ratio": (pd + ps) / (md + ms),
+                "ratio": flop_ratio(n_r, m),
             }
         )
     return out

@@ -194,6 +194,62 @@ significance = 0.01
         with pytest.raises(KeyError, match="unknown preset"):
             preset_text("fig999")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[meta]\ncommand = capacity\n[system]\nn_t = 4\nn_r = 4\n"
+            "[capacity]\ntrials = 10\n",
+            "[meta]\ncommand = ksdelta\n[system]\nn_t = 12\nn_r = 12\n"
+            "[ksdelta]\nsamples = 1000\n",
+            "[meta]\ncommand = uncoded\n[system]\nn_t = 4\nn_r = 4\n"
+            "[code]\nm = 6\n[stop]\nmax_frames = 3\n",
+        ],
+        ids=["capacity-4x4", "ksdelta-12x12", "uncoded-unused-m"],
+    )
+    def test_commands_without_a_code_skip_code_constraints(self, text):
+        # With m = 8 and BPSK a code symbol spans 8 antennas; these
+        # commands map no code symbols, so n_t need not be a multiple.
+        rows, _ = run_command(ExperimentConfig.from_ini(text))
+        assert rows
+
+    @pytest.mark.parametrize(
+        "command,extra,error",
+        [
+            ("threshold", "[detector]\nkind =", "[detector] kind names no detector"),
+            ("ber", "[detector]\nkind =", "[detector] kind names no detector"),
+            ("uncoded", "[detector]\nkind =", "[detector] kind names no detector"),
+            ("ksdelta", "[sweep]\ngamma_db =",
+             "ksdelta runs at one SNR; [sweep] gamma_db lists 0"),
+            ("ksdelta", "[sweep]\ngamma_db = -2, 0",
+             "ksdelta runs at one SNR; [sweep] gamma_db lists 2"),
+            ("threshold", "[de]\nrepeat_factors = 0", "de repeat_factors must be >= 1"),
+            ("threshold", "[de]\nmax_iterations = 0", "de max_iterations must be >= 1"),
+            ("threshold", "[de]\nrepeat_factors =\ngamma0_db =",
+             "de repeat_factors lists no factor"),
+            ("flops", "[flops]\nn_r =", "flops n_r lists no antenna count"),
+            ("capacity", "[capacity]\nrho =", "[capacity] rho lists no correlation"),
+            ("capacity", "[sweep]\ngamma_db =", "sweep has no SNR points"),
+            ("ber", "[channel]\nest_error_var =",
+             "[channel] est_error_var lists no variance"),
+            ("uncoded", "[channel]\nest_error_var =",
+             "[channel] est_error_var lists no variance"),
+        ],
+        ids=[
+            "threshold-no-detector", "ber-no-detector", "uncoded-no-detector",
+            "ksdelta-no-snr", "ksdelta-two-snrs", "threshold-repeat-factor-0",
+            "threshold-no-iterations", "threshold-no-repeat-factors",
+            "flops-no-n-r", "capacity-no-rho", "capacity-no-snr",
+            "ber-no-est-error-var", "uncoded-no-est-error-var",
+        ],
+    )
+    def test_inputs_that_would_crash_or_be_dropped_rejected(
+        self, command, extra, error
+    ):
+        text = f"[meta]\ncommand = {command}\n{extra}\n"
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_ini(text)
+        assert err.value.errors == [error]
+
 
 class TestKsUtility:
     def test_gaussian_passes(self):

@@ -275,7 +275,7 @@ class TestRateLowering:
         # A delta prior on g*x for each copy folds to a delta on x.
         f = build_field(3)
         spec = build_code_spec(12, 4, f, seed=6)
-        low = lower_rate(spec, Fraction(1, 4), seed=9)
+        low = lower_rate(spec, Fraction(1, 4))
         x = spec.encode(np.random.default_rng(8).integers(0, 8, size=spec.k_symbols))
         stream = low.expand(x)
         n, q = spec.n_symbols, f.size

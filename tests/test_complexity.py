@@ -33,8 +33,6 @@ class TestFormulas:
 
     def test_op_cost_table(self):
         assert FLOP_MODEL.real_mul == 1
-        assert FLOP_MODEL.complex_mul == 3
-        assert FLOP_MODEL.real_add == 1
         assert FLOP_MODEL.complex_add == 1
         assert FLOP_MODEL.exp == 50
         assert FLOP_MODEL.inner_product(7) == 27

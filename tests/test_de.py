@@ -29,6 +29,12 @@ from nbmimo.detect import (
 from nbmimo.galois import build_field
 
 
+@pytest.fixture(autouse=True)
+def small_chunk(monkeypatch):
+    """Renew 512 samples at a time, so small ensembles span several chunks."""
+    monkeypatch.setattr(de, "CHUNK", 512)
+
+
 def small_config(**over):
     base = dict(
         n_t=16,
@@ -40,7 +46,6 @@ def small_config(**over):
         gamma0_db=0.0,
         step_db=0.5,
         h_stop=1e-6,
-        chunk=512,
     )
     base.update(over)
     return DeConfig(**base)
@@ -322,15 +327,15 @@ class TestIterate:
         # de_iterate written with np.take_along_axis rotations, in the
         # same per-chunk RNG order (fresh priors, check inputs, edge
         # coefficients), gives the same bits.
-        cfg = small_config(gamma0_db=1.0, ensemble_size=1500, chunk=512)
+        cfg = small_config(gamma0_db=1.0, ensemble_size=1500)
         ens = de_initial_ensemble(cfg, np.random.default_rng(25))
         got = de_iterate(ens, cfg, np.random.default_rng(26))
 
         rng = np.random.default_rng(26)
         L = len(ens)
         want = np.empty_like(ens)
-        for lo in range(0, L, cfg.chunk):
-            hi = min(lo + cfg.chunk, L)
+        for lo in range(0, L, de.CHUNK):
+            hi = min(lo + de.CHUNK, L)
             fresh = de._fresh_samples(cfg, hi - lo, rng)
             want[lo:hi] = take_along_axis_renewal(ens, fresh, cfg, rng)
         assert np.array_equal(got, want)
@@ -343,9 +348,7 @@ class TestIterate:
         # under both orders; every other row keeps one per use (n_t / m = 2
         # per use), so two-sample KS tests (alpha = 0.001 each) of per-row
         # statistics are exact.
-        cfg = small_config(
-            gamma0_db=-1.0, ensemble_size=3000, chunk=512, detector=detector
-        )
+        cfg = small_config(gamma0_db=-1.0, ensemble_size=3000, detector=detector)
         ens = de_initial_ensemble(cfg, np.random.default_rng(30))
         got = de_iterate(ens, cfg, np.random.default_rng(31))
 
@@ -353,8 +356,8 @@ class TestIterate:
         L = len(ens)
         fresh = de._fresh_samples(cfg, L, rng)
         want = np.empty_like(ens)
-        for lo in range(0, L, cfg.chunk):
-            hi = min(lo + cfg.chunk, L)
+        for lo in range(0, L, de.CHUNK):
+            hi = min(lo + de.CHUNK, L)
             want[lo:hi] = take_along_axis_renewal(ens, fresh[lo:hi], cfg, rng)
         for stat in (
             lambda e: e[:, 0],
@@ -369,11 +372,11 @@ class TestIterate:
         # index and transforms measure about 11 chunk-sized float64 arrays
         # at d_c = 3; the bound allows 16.  A full-L fresh array would add
         # L q float64 entries, 41 MB against the 8 MB allowance.
-        cfg = small_config(gamma0_db=0.0, ensemble_size=20_000, chunk=512)
+        cfg = small_config(gamma0_db=0.0, ensemble_size=20_000)
         ens = de_initial_ensemble(cfg, np.random.default_rng(33))
         rng = np.random.default_rng(34)
         de_iterate(ens[:2048], cfg, rng)  # first-call set-up outside the trace
-        chunk_bytes = cfg.chunk * cfg.field.size * 8
+        chunk_bytes = de.CHUNK * cfg.field.size * 8
         tracemalloc.start()
         try:
             de_iterate(ens, cfg, rng)
