@@ -6,7 +6,10 @@ variable-node probability vectors is initialized from the equivalent
 channel (zero codeword through fading, detection, and prior aggregation)
 and repeatedly renewed, each new sample combining one check-node output
 (a convolution of d_c - 1 uniformly drawn ensemble members under random
-nonzero edge coefficients) with a fresh channel sample.  The ensemble's
+nonzero edge coefficients) with a fresh channel sample.  Convolutions
+are products of Walsh-Hadamard spectra (Barnault & Declercq, ITW 2003),
+and an edge coefficient only permutes a spectrum, so a renewal
+transforms each member and each check output once.  The ensemble's
 average Shannon entropy, in base 2^m, tracks the remaining ambiguity; an
 SNR decodes once the entropy falls below the stopping level.  Descending
 in fixed dB steps, the threshold is the last SNR that decoded.
@@ -188,6 +191,17 @@ def de_initial_ensemble(cfg: DeConfig, rng: np.random.Generator) -> np.ndarray:
     return _fresh_samples(cfg, cfg.ensemble_size, rng)
 
 
+def _spectrum_permutations(field: FieldTable) -> np.ndarray:
+    """(q, q) table P: the row x -> p[c^{-1} x] has spectrum fwht(p)[P[c]].
+
+    P[c] u = M_c^T u, where column j of the GF(2) matrix M_c holds the
+    bits of c 2^j; so P[a][P[b]] == P[a b] and P[1] is the identity.
+    """
+    columns = field.to_bits(field.mul_table[:, 1 << np.arange(field.m)])
+    u_bits = field.to_bits(np.arange(field.size))
+    return field.from_bits((u_bits @ np.swapaxes(columns, 1, 2)) & 1)
+
+
 def de_iterate(
     ensemble: np.ndarray, cfg: DeConfig, rng: np.random.Generator
 ) -> np.ndarray:
@@ -195,21 +209,33 @@ def de_iterate(
 
     Inputs to each check are drawn uniformly with replacement.  Variable
     nodes have degree 2, so a new sample multiplies exactly one check
-    output with a fresh channel prior.  Each chunk of CHUNK new
-    samples draws, in this order, its fresh channel priors, its check
-    inputs and its edge coefficients, so no ensemble-sized array besides
-    the result is made.
+    output with a fresh channel prior.  Each chunk of CHUNK new samples
+    draws, in this order, its fresh channel priors, its check inputs and
+    its edge coefficients.  The check node multiplies Walsh-Hadamard
+    spectra, where input coefficient a and output coefficient c permute
+    an input's spectrum by P[a c^{-1}] (`_spectrum_permutations`).
+
+    A C-contiguous float64 `ensemble` is overwritten with its spectra, so
+    no ensemble-sized array besides the result is made; any other input
+    is copied first and left as it was.
     """
-    L = len(ensemble)
+    spectra = np.ascontiguousarray(ensemble, dtype=np.float64)
+    L = len(spectra)
     field = cfg.field
     qsize = field.size
     d_in = cfg.d_c - 1
 
-    out = np.empty_like(ensemble)
-    mt = field.mul_table
-    # Row c maps x -> c^{-1} x: the input rotation under edge coefficient c.
-    rot_in = mt[field.inv_table]
-    flat_ens = ensemble.reshape(-1)
+    perm = _spectrum_permutations(field)
+    rows = min(CHUNK, L)
+    work, c2v = np.empty((rows, qsize)), np.empty((rows, qsize))
+    flat_idx = np.empty((rows, d_in, qsize), dtype=np.intp)
+    gathered = np.empty((rows, d_in, qsize))
+    for lo in range(0, L, CHUNK):
+        chunk = spectra[lo : lo + CHUNK]
+        fwht(chunk, out=chunk, work=work[: len(chunk)])
+
+    out = np.empty_like(spectra)
+    flat_spectra = spectra.reshape(-1)
     for lo in range(0, L, CHUNK):
         hi = min(lo + CHUNK, L)
         b = hi - lo
@@ -217,15 +243,16 @@ def de_iterate(
         idx = rng.integers(0, L, size=(b, d_in))
         coefs_in = rng.integers(1, qsize, size=(b, d_in))
         coef_out = rng.integers(1, qsize, size=b)
-        # Flat gathers: element x of row r reads entry r * q + rot[x].
-        rotated = flat_ens[(idx * qsize)[..., None] + rot_in[coefs_in]]
-        spectra = fwht(rotated).prod(axis=1)
-        conv = fwht(spectra)
+        k = field.mul_table[coefs_in, field.inv_table[coef_out][:, None]]
+        # Flat gather: entry u of input j reads spectra[idx[j], P[k[j]][u]].
+        flat = np.take(perm, k, axis=0, out=flat_idx[:b], mode="clip")
+        flat += (idx * qsize)[..., None]
+        np.take(flat_spectra, flat, out=gathered[:b], mode="clip")
+        conv = np.prod(gathered[:b], axis=1, out=c2v[:b])
+        fwht(conv, out=conv, work=work[:b])
         conv /= qsize
-        rows = np.arange(b)[:, None] * qsize
-        c2v = conv.reshape(-1)[rows + mt[coef_out]]
-        np.maximum(c2v, MSG_FLOOR, out=c2v)
-        fresh *= c2v  # the renewed rows, before the floor and normalization
+        np.maximum(conv, MSG_FLOOR, out=conv)
+        fresh *= conv  # the renewed rows, before the floor and normalization
         np.maximum(fresh, MSG_FLOOR, out=fresh)
         np.divide(fresh, fresh.sum(axis=1, keepdims=True), out=out[lo:hi])
     return out
