@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg.blas import zherk
-from scipy.linalg.lapack import zpotrf
+from scipy.linalg.lapack import dpttrf, zpotrf
 
 from nbmimo.galois import FieldTable
 
@@ -102,9 +102,11 @@ def map_codeword(
 
 def sample_iid(n_t: int, n_r: int, rng: np.random.Generator) -> np.ndarray:
     """Rayleigh-fading matrix with i.i.d. CN(0, 1) entries."""
-    re = rng.standard_normal((n_r, n_t))
-    im = rng.standard_normal((n_r, n_t))
-    return (re + 1j * im) / np.sqrt(2)
+    h = np.empty((n_r, n_t), dtype=np.complex128)
+    h.real = rng.standard_normal((n_r, n_t))
+    h.imag = rng.standard_normal((n_r, n_t))
+    h /= np.sqrt(2)
+    return h
 
 
 def _exponential(rho: float, n: int) -> np.ndarray:
@@ -206,6 +208,22 @@ def instantaneous_capacity(h: np.ndarray, gamma_db: float) -> float:
     return 2.0 * np.log(factor.diagonal().real).sum() / np.log(2.0)
 
 
+def _tridiagonal_log2_det(d2: np.ndarray, e2: np.ndarray) -> float:
+    """log2 det(I + B^T B) for the upper bidiagonal B with squared diagonal
+    `d2` and squared superdiagonal `e2`.
+
+    I + B^T B is tridiagonal: 1 + d_i^2 + e_{i-1}^2 on the diagonal and
+    d_i e_i beside it.  `dpttrf` factors it as L D L^T.
+    """
+    pivots = 1.0 + d2
+    if e2.size:
+        pivots[1:] += e2
+        pivots, _, info = dpttrf(pivots, np.sqrt(d2[:-1] * e2), overwrite_d=True)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"tridiagonal factorization failed ({info})")
+    return np.log(pivots).sum() / np.log(2.0)
+
+
 def ergodic_capacity(
     n_t: int,
     n_r: int,
@@ -214,30 +232,49 @@ def ergodic_capacity(
     rng: np.random.Generator,
     corr: CorrelationSpec | None = None,
 ) -> tuple[float, float]:
-    """Monte Carlo mean of `instantaneous_capacity`, with std error.
+    """Monte Carlo mean of log2 det(I + (gamma/N_t) H H^H), with std error.
 
-    `corr` draws doubly correlated realizations.  A correlated trial is
-    drawn in the eigenbasis of the correlation matrices.  With
-    R = U Lambda U^T, the Kronecker channel is
+    An i.i.d. trial (`corr` None) draws no H.  The log det depends only on
+    the singular values of H, and those of an i.i.d. CN(0, 1) H have the
+    law of a real n x n upper bidiagonal B with independent entries,
+    n = min(N_t, N_r) and m = max(N_t, N_r): d_i^2 ~ Gamma(m - i) on the
+    diagonal and e_i^2 ~ Gamma(n - 1 - i) above it (Dumitriu & Edelman,
+    "Matrix models for beta ensembles", J. Math. Phys. 43, 2002).  These
+    are the squared norms that Golub-Kahan bidiagonalization of H
+    produces, Gamma(k, 1) being that of k CN(0, 1) entries.  So a trial
+    is the log det of the tridiagonal I + (gamma/N_t) B^T B, from its
+    O(n) factorization L D L^T.
+
+    `corr` draws doubly correlated realizations, in the eigenbasis of the
+    correlation matrices.  With R = U Lambda U^T, the Kronecker channel is
     H = U_r Lambda_r^{1/2} U_r^T W U_t Lambda_t^{1/2} U_t^T.  The log det
     does not change under the unitary U_r on the left and U_t^T on the
     right, and U_r^T W U_t has the law of the i.i.d. W.  So
     Lambda_r^{1/2} W Lambda_t^{1/2}, a diagonal scaling of W, gives the
     capacity the same law as the full product (Tulino & Verdu, Random
-    Matrix Theory and Wireless Communications, 2004).  This holds for
-    capacity only; detection draws H itself (`apply_correlation`).
+    Matrix Theory and Wireless Communications, 2004).  That scaling does
+    not preserve the singular values of W, so these trials draw W in full
+    and take `instantaneous_capacity`.  This holds for capacity only;
+    detection draws H itself (`apply_correlation`).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if corr is not None:
+    vals = np.empty(trials)
+    if corr is None:
+        m, n = max(n_t, n_r), min(n_t, n_r)
+        scale = 10.0 ** (gamma_db / 10.0) / n_t
+        d_shape = np.arange(m, m - n, -1.0)
+        e_shape = np.arange(n - 1, 0, -1.0)
+        for t in range(trials):
+            d2 = scale * rng.standard_gamma(d_shape)
+            e2 = scale * rng.standard_gamma(e_shape)
+            vals[t] = _tridiagonal_log2_det(d2, e2)
+    else:
         root_r = np.sqrt(corr.eig_r)[:, None]
         root_t = np.sqrt(corr.eig_t)
-    vals = np.empty(trials)
-    for t in range(trials):
-        h = sample_iid(n_t, n_r, rng)
-        if corr is not None:
-            h = root_r * h * root_t
-        vals[t] = instantaneous_capacity(h, gamma_db)
+        for t in range(trials):
+            h = root_r * sample_iid(n_t, n_r, rng) * root_t
+            vals[t] = instantaneous_capacity(h, gamma_db)
     se = vals.std(ddof=1) / np.sqrt(trials) if trials > 1 else 0.0
     return float(vals.mean()), float(se)
 

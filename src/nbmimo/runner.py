@@ -212,8 +212,10 @@ def run_capacity(cfg: ExperimentConfig) -> list[dict]:
             CorrelationSpec(rho, rho, cfg.n_t, cfg.n_r) if rho > 0 else None
         )
         for j, gamma_db in enumerate(cfg.gamma_db):
-            # Matched seeds across rho values at the same SNR make capacity
-            # losses directly comparable.
+            # Correlated rows at the same SNR share a seed, and so draw the
+            # same W, which makes their differences directly comparable.
+            # The rho = 0 row draws its trials from the bidiagonal model
+            # instead (`ergodic_capacity`), so it shares no draws with them.
             rng = substream(cfg.master_seed, _CAPACITY, j)
             cap, se = ergodic_capacity(
                 cfg.n_t, cfg.n_r, gamma_db, cfg.capacity_trials, rng, corr=corr

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from nbmimo.channel import (
     CorrelationSpec,
@@ -120,6 +120,17 @@ class TestChannelSampling:
             h = sample_iid(8, 200, rng)
             vals.extend(np.real(np.sum(h.conj() * h, axis=0)))
         assert abs(np.mean(vals) / 200 - 1.0) < 0.01
+
+    @pytest.mark.parametrize("n_t,n_r", [(1, 1), (3, 7), (64, 600)])
+    def test_equals_complex_division_of_two_draws(self, n_t, n_r):
+        # The former expression, with its temporaries, bit for bit.
+        for seed in range(5):
+            got = sample_iid(n_t, n_r, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            re = rng.standard_normal((n_r, n_t))
+            im = rng.standard_normal((n_r, n_t))
+            want = (re + 1j * im) / np.sqrt(2)
+            assert np.array_equal(got.view(np.float64), want.view(np.float64))
 
 
 def exponential_matrix(rho, n):
@@ -302,6 +313,50 @@ class TestCapacity:
         want = np.linalg.slogdet(gram)[1] / np.log(2)
         got = instantaneous_capacity(h, gamma_db)
         assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("n_t,n_r", [(5, 5), (3, 7), (7, 3), (1, 1)])
+    def test_bidiagonal_trial_equals_embedded_matrix(self, n_t, n_r):
+        # An i.i.d. trial draws d_i^2 ~ Gamma(m - i), then
+        # e_i^2 ~ Gamma(n - 1 - i).  Replay those draws, write B out as an
+        # N_r x N_t matrix, and take the full log det of it.
+        m, n = max(n_t, n_r), min(n_t, n_r)
+        gamma_db = 3.0
+        for seed in range(3):
+            got, _ = ergodic_capacity(
+                n_t, n_r, gamma_db, trials=1, rng=np.random.default_rng(seed)
+            )
+            rng = np.random.default_rng(seed)
+            d = np.sqrt(rng.standard_gamma(np.arange(m, m - n, -1.0)))
+            e = np.sqrt(rng.standard_gamma(np.arange(n - 1, 0, -1.0)))
+            h = np.zeros((n_r, n_t), dtype=np.complex128)
+            h[:n, :n] = np.diag(d) + np.diag(e, 1)
+            assert got == pytest.approx(
+                instantaneous_capacity(h, gamma_db), abs=1e-10
+            )
+
+    @pytest.mark.parametrize(
+        "n_t,n_r,gamma_db,trials",
+        [(6, 6, 3.0, 20_000), (3, 7, 0.0, 20_000), (7, 3, 5.0, 20_000),
+         (32, 32, -5.0, 4_000)],
+    )
+    def test_bidiagonal_trials_match_full_matrix_in_law(
+        self, n_t, n_r, gamma_db, trials
+    ):
+        # Consecutive one-trial calls on one generator are the trials of
+        # one call.  The reference draws H in full (seeds 171 and 172).
+        rng = np.random.default_rng(171)
+        fast = np.array([
+            ergodic_capacity(n_t, n_r, gamma_db, 1, rng)[0] for _ in range(trials)
+        ])
+        rng = np.random.default_rng(172)
+        full = np.array([
+            instantaneous_capacity(sample_iid(n_t, n_r, rng), gamma_db)
+            for _ in range(trials)
+        ])
+        p = stats.ks_2samp(fast, full).pvalue
+        assert p > 1e-3, f"KS p = {p:.3g}"
+        se = np.hypot(fast.std(ddof=1), full.std(ddof=1)) / np.sqrt(trials)
+        assert abs(fast.mean() - full.mean()) < 4 * se
 
     def test_eigenbasis_draws_match_explicit_correlation(self):
         # Capacity is drawn as Lambda_r^{1/2} W Lambda_t^{1/2}; the explicit
