@@ -12,6 +12,7 @@ law: L = R^{1/2} Q with Q orthogonal, and Q_r H_iid Q_t^T is i.i.d.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -230,11 +231,12 @@ def ergodic_capacity(
     gamma_db: float,
     trials: int,
     rng: np.random.Generator,
-    corr: CorrelationSpec | None = None,
-) -> tuple[float, float]:
+    corrs: Sequence[CorrelationSpec] | None = None,
+):
     """Monte Carlo mean of log2 det(I + (gamma/N_t) H H^H), with std error.
 
-    An i.i.d. trial (`corr` None) draws no H.  The log det depends only on
+    Without `corrs`, the channel is i.i.d. and the result one (mean, std
+    error).  An i.i.d. trial draws no H.  The log det depends only on
     the singular values of H, and those of an i.i.d. CN(0, 1) H have the
     law of a real n x n upper bidiagonal B with independent entries,
     n = min(N_t, N_r) and m = max(N_t, N_r): d_i^2 ~ Gamma(m - i) on the
@@ -245,8 +247,10 @@ def ergodic_capacity(
     is the log det of the tridiagonal I + (gamma/N_t) B^T B, from its
     O(n) factorization L D L^T.
 
-    `corr` draws doubly correlated realizations, in the eigenbasis of the
-    correlation matrices.  With R = U Lambda U^T, the Kronecker channel is
+    `corrs` gives a list of (mean, std error), one per doubly correlated
+    spec.  Each trial draws one W and scales it for every spec, in the
+    eigenbasis of the correlation matrices.  With R = U Lambda U^T, the
+    Kronecker channel is
     H = U_r Lambda_r^{1/2} U_r^T W U_t Lambda_t^{1/2} U_t^T.  The log det
     does not change under the unitary U_r on the left and U_t^T on the
     right, and U_r^T W U_t has the law of the i.i.d. W.  So
@@ -259,8 +263,8 @@ def ergodic_capacity(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    vals = np.empty(trials)
-    if corr is None:
+    if corrs is None:
+        vals = np.empty((1, trials))
         m, n = max(n_t, n_r), min(n_t, n_r)
         scale = 10.0 ** (gamma_db / 10.0) / n_t
         d_shape = np.arange(m, m - n, -1.0)
@@ -268,15 +272,19 @@ def ergodic_capacity(
         for t in range(trials):
             d2 = scale * rng.standard_gamma(d_shape)
             e2 = scale * rng.standard_gamma(e_shape)
-            vals[t] = _tridiagonal_log2_det(d2, e2)
+            vals[0, t] = _tridiagonal_log2_det(d2, e2)
     else:
-        root_r = np.sqrt(corr.eig_r)[:, None]
-        root_t = np.sqrt(corr.eig_t)
+        roots = [(np.sqrt(c.eig_r)[:, None], np.sqrt(c.eig_t)) for c in corrs]
+        vals = np.empty((len(roots), trials))
         for t in range(trials):
-            h = root_r * sample_iid(n_t, n_r, rng) * root_t
-            vals[t] = instantaneous_capacity(h, gamma_db)
-    se = vals.std(ddof=1) / np.sqrt(trials) if trials > 1 else 0.0
-    return float(vals.mean()), float(se)
+            w = sample_iid(n_t, n_r, rng)
+            for i, (root_r, root_t) in enumerate(roots):
+                vals[i, t] = instantaneous_capacity(root_r * w * root_t, gamma_db)
+    results = [
+        (float(v.mean()), float(v.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0)
+        for v in vals
+    ]
+    return results[0] if corrs is None else results
 
 
 def spectral_efficiency(bits_per_symbol: int, rate, n_t: int) -> float:

@@ -20,8 +20,13 @@ simplified-MF frames: it draws the estimates from a sufficient statistic
 and never forms H.
 Density evolution calls it for the channel it models, i.i.d. Rayleigh
 fading with perfect CSI; the sampler also covers Kronecker correlation
-and estimation error, which no DeConfig setting selects.  The MMSE and
-exact-MF kinds draw a full H, a batch of uses at a time.
+and estimation error, which no DeConfig setting selects.  Under BPSK a
+symbol prior is the product of its bits' two-point likelihoods, so it is
+exp of a linear form in one LLR per stream (the binary-image prior of
+Declercq & Fossorier, IEEE Trans. Commun. 55(4), 2007).  The priors are
+built that way from the same draws, equal to `mf_soft` followed by
+`symbol_priors` to rounding.  The MMSE and exact-MF kinds draw a full H,
+a batch of uses at a time, and take that detector path.
 
 Only BPSK supports the zero-codeword trick: rotational symmetry fails for
 larger QAM alphabets, so those configurations are rejected.
@@ -32,11 +37,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
-from scipy.special import entr
 
 from nbmimo.channel import gray_constellation, snr_to_noise
 from nbmimo.decoder import MSG_FLOOR, fwht
-from nbmimo.detect import DETECTORS, mf_simplified_samples, soft_detect, symbol_priors
+from nbmimo.detect import (
+    DETECTORS,
+    VAR_FLOOR,
+    mf_simplified_samples,
+    soft_detect,
+    symbol_priors,
+)
 from nbmimo.galois import FieldTable, build_field
 
 
@@ -52,6 +62,8 @@ class ThresholdSearchError(RuntimeError):
 MAX_POINTS = 500
 # Ensemble rows `ensemble_entropy` takes at once.
 _ENTROPY_ROWS = 8192
+# Smallest normal float64: the entropy takes log(max(p, _TINY)).
+_TINY = np.finfo(np.float64).tiny
 # New samples `de_iterate` renews at once.
 CHUNK = 8192
 
@@ -103,15 +115,23 @@ class DeResult:
 def ensemble_entropy(ensemble: np.ndarray, field: FieldTable) -> float:
     """Average Shannon entropy in base 2^m; 0 log 0 reads as 0.
 
-    Row entropies are summed chunk by chunk into one vector, so no
-    ensemble-sized temporary is made; each row's sum is the one
-    `entr(p).sum(axis=1)` forms.
+    Row entropies -sum_x p log p are summed chunk by chunk into one
+    vector, with one chunk-sized buffer and no ensemble-sized temporary.
+    Each entry's log is taken of max(p, tiny), so an exact zero adds
+    0 * log(tiny) = 0.
     """
     p = np.asarray(ensemble, dtype=np.float64)
     rows = np.empty(len(p))
+    buf = np.empty((min(_ENTROPY_ROWS, len(p)),) + p.shape[1:])
     for lo in range(0, len(p), _ENTROPY_ROWS):
-        rows[lo : lo + _ENTROPY_ROWS] = entr(p[lo : lo + _ENTROPY_ROWS]).sum(axis=1)
-    return float(rows.mean() / (np.log(2) * field.m))
+        chunk = p[lo : lo + _ENTROPY_ROWS]
+        plogp = buf[: len(chunk)]
+        np.maximum(chunk, _TINY, out=plogp)
+        np.log(plogp, out=plogp)
+        plogp *= chunk
+        plogp.sum(axis=1, out=rows[lo : lo + _ENTROPY_ROWS])
+    # 0.0 - x, unlike -x, gives 0.0 for a row mean of 0.0.
+    return float((0.0 - rows.mean()) / (np.log(2) * field.m))
 
 
 def _channel_prior_samples(cfg: DeConfig, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -129,7 +149,16 @@ def _channel_prior_samples(cfg: DeConfig, n: int, rng: np.random.Generator) -> n
     W u = p0 g, the common term u (W u)^H y / ||u||^2 is (g/N_t)^H y, and
     P z removes the mean of z over the streams: O(N_t + N_r)
     double-precision normals per use, drawn in the order (g, n, z),
-    instead of O(N_t N_r).
+    instead of O(N_t N_r).  The priors come from the per-stream LLRs
+    lambda_k = 2 a Re(s_hat_k) / sigma^2 of the BPSK points +-a, with
+    sigma^2 = sigma_n^2 / N_r the constant of `mf_soft`: stream j of a
+    symbol carries bit j, so
+    log p(x) = -sum_j softplus(-lambda_j) - sum_j b_j(x) lambda_j.  That
+    is one (rows, m + 1) @ (m + 1, 2^m) product, the last column carrying
+    the softplus sum, written into the rows of the result; then an exp in
+    place and a renormalization of each row against rounding.  The draws
+    are those of `mf_simplified_samples` with a constellation, and the
+    priors equal `symbol_priors` of its `mf_soft` rows to rounding.
     """
     field = cfg.field
     q = field.m  # BPSK: one bit per modulated symbol
@@ -139,20 +168,32 @@ def _channel_prior_samples(cfg: DeConfig, n: int, rng: np.random.Generator) -> n
     point0 = const.points[0]
     uses_left = -(-n // per_use)
     # A batch holds 2^21 complex64 channel entries (16 MB), or under
-    # simplified MF 2^21 / m symbol prior entries (2 MB at m = 8): small
-    # enough for the allocator to reuse, batch after batch.
+    # simplified MF 2^21 / 2^m symbol prior entries' worth of uses (40 at
+    # 200 x 200 and m = 8), whose priors go straight into `out`.  The
+    # batch size fixes the order of the draws.
     per_use_size = field.size if cfg.detector == "mf-simplified" else cfg.n_r
     max_batch = max(1, (1 << 21) // (cfg.n_t * per_use_size))
     noise_scale = np.float32(np.sqrt(sigma2_n))
     half = np.float32(np.sqrt(2) / 2)
+    llr_scale = 2 * point0.real / max(sigma2_n / cfg.n_r, VAR_FLOOR)
+    # Rows j < m of `signs` hold -b_j(x) and row m holds -1: [lambda, sum
+    # of softplus(-lambda)] @ signs is the log prior.
+    signs = -np.vstack([field.to_bits(np.arange(field.size)).T, np.ones(field.size)])
     out = np.empty((n, field.size))
     done = 0
     while done < n:
         b = min(max_batch, uses_left)
         uses_left -= b
+        take = min(b * per_use, n - done)
         if cfg.detector == "mf-simplified":
             s = np.full((b, cfg.n_t), point0)
-            block = mf_simplified_samples(s, cfg.n_r, sigma2_n, rng, constellation=const)
+            s_hat = mf_simplified_samples(s, cfg.n_r, sigma2_n, rng)
+            llr = np.empty((take, q + 1))
+            np.multiply(s_hat.real.reshape(-1, q)[:take], llr_scale, out=llr[:, :q])
+            np.logaddexp(0.0, -llr[:, :q]).sum(axis=1, out=llr[:, q])
+            rows = np.matmul(llr, signs, out=out[done : done + take])
+            np.exp(rows, out=rows)
+            rows *= 1.0 / rows.sum(axis=1, keepdims=True)
         else:
             shape = (b, cfg.n_r, cfg.n_t)
             h = np.empty(shape, dtype=np.complex64)
@@ -164,9 +205,7 @@ def _channel_prior_samples(cfg: DeConfig, n: int, rng: np.random.Generator) -> n
                 y.real += noise_scale * rng.standard_normal((b, cfg.n_r), dtype=np.float32)
                 y.imag += noise_scale * rng.standard_normal((b, cfg.n_r), dtype=np.float32)
             block = soft_detect(cfg.detector, h, y, sigma2_n, const)
-        priors = symbol_priors(block.reshape(-1, const.size), field)
-        take = min(len(priors), n - done)
-        out[done : done + take] = priors[:take]
+            out[done : done + take] = symbol_priors(block.reshape(-1, const.size), field)[:take]
         done += take
     return out
 

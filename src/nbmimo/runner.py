@@ -206,20 +206,33 @@ def run_uncoded(cfg: ExperimentConfig, progress=None) -> list[SweepSummary]:
 
 
 def run_capacity(cfg: ExperimentConfig) -> list[dict]:
-    out = []
-    for i, rho in enumerate(cfg.capacity_rho):
-        corr = (
-            CorrelationSpec(rho, rho, cfg.n_t, cfg.n_r) if rho > 0 else None
-        )
-        for j, gamma_db in enumerate(cfg.gamma_db):
-            # Correlated rows at the same SNR share a seed, and so draw the
-            # same W, which makes their differences directly comparable.
-            # The rho = 0 row draws its trials from the bidiagonal model
-            # instead (`ergodic_capacity`), so it shares no draws with them.
-            rng = substream(cfg.master_seed, _CAPACITY, j)
-            cap, se = ergodic_capacity(
-                cfg.n_t, cfg.n_r, gamma_db, cfg.capacity_trials, rng, corr=corr
+    specs = {
+        rho: CorrelationSpec(rho, rho, cfg.n_t, cfg.n_r)
+        for rho in cfg.capacity_rho
+        if rho > 0
+    }
+    caps = {}
+    for j, gamma_db in enumerate(cfg.gamma_db):
+        # Every row at one SNR starts from the same seed.  The correlated
+        # rows share one W per trial, scaled per rho, which makes their
+        # differences directly comparable.  The rho = 0 row draws its
+        # trials from the bidiagonal model instead (`ergodic_capacity`),
+        # so it shares no draws with them.
+        if 0.0 in cfg.capacity_rho:
+            caps[0.0, j] = ergodic_capacity(
+                cfg.n_t, cfg.n_r, gamma_db, cfg.capacity_trials,
+                substream(cfg.master_seed, _CAPACITY, j),
             )
+        if specs:
+            correlated = ergodic_capacity(
+                cfg.n_t, cfg.n_r, gamma_db, cfg.capacity_trials,
+                substream(cfg.master_seed, _CAPACITY, j), corrs=list(specs.values()),
+            )
+            caps.update(((rho, j), cap) for rho, cap in zip(specs, correlated))
+    out = []
+    for rho in cfg.capacity_rho:
+        for j, gamma_db in enumerate(cfg.gamma_db):
+            cap, se = caps[rho, j]
             out.append(
                 {
                     "rho": rho,

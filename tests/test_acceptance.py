@@ -366,13 +366,14 @@ class TestCriterion10CorrelatedCapacity:
         from nbmimo.channel import CorrelationSpec
 
         n, gamma_db, trials = 600, -11.0, 1000
-        caps = {}
-        for rho in (0.0, 0.3, 0.4, 0.5):
-            corr = CorrelationSpec(rho, rho, n, n) if rho else None
-            cap, se = ergodic_capacity(
-                n, n, gamma_db, trials, substream(1001, 10), corr=corr
-            )
-            caps[rho] = cap
+        caps = {0.0: ergodic_capacity(n, n, gamma_db, trials, substream(1001, 10))[0]}
+        # The correlated values share one W per trial.
+        rhos = (0.3, 0.4, 0.5)
+        correlated = ergodic_capacity(
+            n, n, gamma_db, trials, substream(1001, 10),
+            corrs=[CorrelationSpec(rho, rho, n, n) for rho in rhos],
+        )
+        caps.update((rho, cap) for rho, (cap, _) in zip(rhos, correlated))
         assert abs(caps[0.0] - 64.0) <= 3.0, f"uncorrelated capacity {caps[0.0]:.2f}"
         for rho, want in [(0.3, 0.85), (0.4, 1.5), (0.5, 2.7)]:
             loss = caps[0.0] - caps[rho]

@@ -364,8 +364,8 @@ class TestCapacity:
         n_t, n_r, gamma_db, trials = 12, 20, 0.0, 4000
         spec = CorrelationSpec(0.6, 0.3, n_t, n_r)
         c0, se0 = ergodic_capacity(
-            n_t, n_r, gamma_db, trials, np.random.default_rng(17), corr=spec
-        )
+            n_t, n_r, gamma_db, trials, np.random.default_rng(17), corrs=[spec]
+        )[0]
         rng = np.random.default_rng(18)
         explicit = [
             instantaneous_capacity(
@@ -377,14 +377,37 @@ class TestCapacity:
         se1 = np.std(explicit, ddof=1) / np.sqrt(trials)
         assert abs(c0 - c1) < 4 * np.hypot(se0, se1)
 
+    def test_several_specs_share_each_w(self):
+        # Each spec's (mean, std error) is bit for bit that of its own
+        # trials (Lambda_r^{1/2} W) Lambda_t^{1/2}, on one W per trial.
+        n_t, n_r, gamma_db, trials = 6, 9, 2.0, 30
+        specs = [CorrelationSpec(r, r / 2, n_t, n_r) for r in (0.3, 0.6, 0.3)]
+        got = ergodic_capacity(
+            n_t, n_r, gamma_db, trials, np.random.default_rng(41), corrs=specs
+        )
+        rng = np.random.default_rng(41)
+        ws = [sample_iid(n_t, n_r, rng) for _ in range(trials)]
+        for spec, (mean, se) in zip(specs, got):
+            root_r, root_t = np.sqrt(spec.eig_r)[:, None], np.sqrt(spec.eig_t)
+            vals = np.array(
+                [instantaneous_capacity(root_r * w * root_t, gamma_db) for w in ws]
+            )
+            assert mean == vals.mean()
+            assert se == vals.std(ddof=1) / np.sqrt(trials)
+        assert got[0] == got[2] and got[0] != got[1]
+        [(_, se)] = ergodic_capacity(
+            n_t, n_r, gamma_db, 1, np.random.default_rng(41), corrs=specs[:1]
+        )
+        assert se == 0.0
+
     def test_correlation_reduces_capacity(self):
         corr = CorrelationSpec(0.6, 0.6, 16, 16)
         c0, se0 = ergodic_capacity(
             16, 16, 0.0, trials=400, rng=np.random.default_rng(15)
         )
         c1, se1 = ergodic_capacity(
-            16, 16, 0.0, trials=400, rng=np.random.default_rng(15), corr=corr
-        )
+            16, 16, 0.0, trials=400, rng=np.random.default_rng(15), corrs=[corr]
+        )[0]
         assert c1 < c0 - 3 * np.hypot(se0, se1)
 
 

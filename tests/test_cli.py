@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nbmimo.channel import CorrelationSpec, ergodic_capacity
 from nbmimo.cli import build_parser, load_config, main
 from nbmimo.config import INI_KEYS, ConfigError, ExperimentConfig
 from nbmimo.presets import PRESETS, preset_text
@@ -404,6 +405,30 @@ class TestRunners:
         assert [(r.detector, r.frames) for r in rows] == [
             ("mmse", 2), ("mmse", 2), ("mf-simplified", 2), ("mf-simplified", 2)
         ]
+
+    def test_capacity_rows_equal_one_call_per_rho(self):
+        # Rows stay rho-major, and each equals its own ergodic_capacity call
+        # on the point's substream, correlated rows sharing W or not.
+        import nbmimo.runner as runner
+
+        cfg = ExperimentConfig(
+            command="capacity", n_t=6, n_r=6, capacity_rho=[0.5, 0.0, 0.3],
+            gamma_db=[-3.0, 4.0], capacity_trials=20, master_seed=5,
+        )
+        rows, _ = run_command(cfg)
+        assert [(r["rho"], r["gamma_db"]) for r in rows] == [
+            (rho, g) for rho in (0.5, 0.0, 0.3) for g in (-3.0, 4.0)
+        ]
+        for row in rows:
+            rho, gamma_db = row["rho"], row["gamma_db"]
+            rng = substream(5, runner._CAPACITY, cfg.gamma_db.index(gamma_db))
+            if rho:
+                [want] = ergodic_capacity(
+                    6, 6, gamma_db, 20, rng, corrs=[CorrelationSpec(rho, rho, 6, 6)]
+                )
+            else:
+                want = ergodic_capacity(6, 6, gamma_db, 20, rng)
+            assert (row["capacity_bps_hz"], row["std_error"]) == want
 
     def test_uncoded_bpsk_matched_filters_share_each_use(self):
         # The uncoded link draws H for every detector, so for BPSK the exact

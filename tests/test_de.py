@@ -77,6 +77,24 @@ def full_channel_priors(cfg, n, rng):
     return symbol_priors(block, cfg.field)[:n]
 
 
+def mf_soft_symbol_priors(cfg, n, rng):
+    """Raw simplified-MF priors as `symbol_priors` of the `mf_soft` rows,
+    drawn in the batches and RNG order of `de._channel_prior_samples`."""
+    per_use = cfg.n_t // cfg.m
+    const = gray_constellation(2, symbol_energy=1 / cfg.n_t)
+    sigma2 = snr_to_noise(cfg.gamma0_db)
+    max_batch = max(1, (1 << 21) // (cfg.n_t * cfg.field.size))
+    uses = -(-n // per_use)
+    blocks = []
+    while uses > 0:
+        b = min(max_batch, uses)
+        uses -= b
+        s = np.full((b, cfg.n_t), const.points[0])
+        rows = mf_simplified_samples(s, cfg.n_r, sigma2, rng, constellation=const)
+        blocks.append(symbol_priors(rows.reshape(-1, const.size), cfg.field))
+    return np.concatenate(blocks)[:n]
+
+
 def per_use_priors(cfg, uses, rng):
     """Raw channel priors of the zero codeword, one float64 H per use."""
     const = gray_constellation(2, symbol_energy=1 / cfg.n_t)
@@ -172,12 +190,19 @@ class TestEntropy:
 
     @pytest.mark.parametrize("rows", [2 * de._ENTROPY_ROWS + 5, 100])
     def test_chunked_sum_equals_whole_array_sum(self, rows):
-        # Row entropies summed chunk by chunk give the bits of one
-        # entr(p).sum(axis=1) over the whole ensemble.
+        # Row entropies summed chunk by chunk give the bits of the same
+        # formula, sum_x p log max(p, tiny) per row, over the whole
+        # ensemble, and scipy's entr to rounding.  The Dirichlet rows hold
+        # exact zeros, which add nothing.
         f = build_field(8)
         p = np.random.default_rng(35).dirichlet(np.full(256, 0.05), size=rows)
-        want = float(entr(p).sum(axis=1).mean() / (np.log(2) * f.m))
-        assert ensemble_entropy(p, f) == want
+        assert (p == 0).any()
+        plogp = p * np.log(np.maximum(p, np.finfo(np.float64).tiny))
+        want = float((0.0 - plogp.sum(axis=1).mean()) / (np.log(2) * f.m))
+        got = ensemble_entropy(p, f)
+        assert got == want
+        reference = float(entr(p).sum(axis=1).mean() / (np.log(2) * f.m))
+        assert got == pytest.approx(reference, rel=1e-13, abs=0)
 
 
 class TestConfig:
@@ -332,6 +357,54 @@ class TestMfSimplifiedSampler:
         for k in range(per_use):
             got, want = fast[k::per_use, 0], full[k::per_use, 0]
             assert stats.ks_2samp(got, want).pvalue > 1e-3
+
+
+class TestLlrPriors:
+    """Simplified-MF priors from per-stream LLRs against `symbol_priors` of
+    the `mf_soft` rows of the same draws."""
+
+    SYSTEMS = [(200, 200, 8), (12, 20, 4)]
+
+    @pytest.mark.parametrize("n_t,n_r,m", SYSTEMS)
+    @pytest.mark.parametrize("gamma_db", [-3.0, 4.0])
+    def test_equal_to_rounding(self, n_t, n_r, m, gamma_db):
+        cfg = small_config(n_t=n_t, n_r=n_r, m=m, gamma0_db=gamma_db)
+        n = 3001
+        got = de._channel_prior_samples(cfg, n, np.random.default_rng(61))
+        want = mf_soft_symbol_priors(cfg, n, np.random.default_rng(61))
+        assert got.shape == want.shape == (n, 2**m) and got.flags.c_contiguous
+        big = want > 1e-250
+        assert np.max(np.abs(got[big] - want[big]) / want[big]) <= 1e-12
+        assert np.max(np.abs(got.sum(axis=1) - 1)) <= 1e-12
+
+    @pytest.mark.parametrize("n_t,n_r,m", SYSTEMS)
+    def test_near_noiseless_keeps_argmax(self, n_t, n_r, m):
+        # At 60 dB the LLRs reach about 1e6, so the log priors carry
+        # absolute rounding of about 1e-10 before the exp.
+        cfg = small_config(n_t=n_t, n_r=n_r, m=m, gamma0_db=60.0)
+        n = 3001
+        got = de._channel_prior_samples(cfg, n, np.random.default_rng(62))
+        want = mf_soft_symbol_priors(cfg, n, np.random.default_rng(62))
+        assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
+        assert np.max(np.abs(got - want)) <= 1e-9
+        assert np.max(np.abs(got.sum(axis=1) - 1)) <= 1e-12
+
+    @pytest.mark.parametrize("gamma_db", [-3.0, 4.0])
+    def test_repetition_folds_equal_priors(self, gamma_db):
+        # _fresh_samples draws 2n raw priors, then the n coefficients of
+        # the second copies, and folds each pair.
+        cfg = small_config(n_t=200, n_r=200, gamma0_db=gamma_db, repeat_factor=2)
+        f, n = cfg.field, 1500
+        got = de._fresh_samples(cfg, n, np.random.default_rng(63))
+        rng = np.random.default_rng(63)
+        raw = mf_soft_symbol_priors(cfg, 2 * n, rng).reshape(n, 2, f.size)
+        coefs = np.ones((n, 2), dtype=np.int64)
+        coefs[:, 1:] = rng.integers(1, f.size, size=(n, 1))
+        folded = np.take_along_axis(raw, f.mul_table[coefs], axis=2).prod(axis=1)
+        folded = np.maximum(folded, MSG_FLOOR)
+        want = folded / folded.sum(axis=1, keepdims=True)
+        assert np.max(np.abs(got - want) / want) <= 1e-12
+        assert np.max(np.abs(got.sum(axis=1) - 1)) <= 1e-12
 
 
 class TestSpectrumPermutations:
