@@ -279,7 +279,10 @@ def ergodic_capacity(
         for t in range(trials):
             w = sample_iid(n_t, n_r, rng)
             for i, (root_r, root_t) in enumerate(roots):
-                vals[i, t] = instantaneous_capacity(root_r * w * root_t, gamma_db)
+                # The last spec scales W in place: one spec holds no copy.
+                h = np.multiply(root_r, w, out=w if i == len(roots) - 1 else None)
+                h *= root_t
+                vals[i, t] = instantaneous_capacity(h, gamma_db)
     results = [
         (float(v.mean()), float(v.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0)
         for v in vals

@@ -188,7 +188,7 @@ class TestEntropy:
         f = build_field(2)
         assert ensemble_entropy(np.full((4, 4), 0.25), f) == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("rows", [2 * de._ENTROPY_ROWS + 5, 100])
+    @pytest.mark.parametrize("rows", [64 * de._ENTROPY_ROWS + 5, 100])
     def test_chunked_sum_equals_whole_array_sum(self, rows):
         # Row entropies summed chunk by chunk give the bits of the same
         # formula, sum_x p log max(p, tiny) per row, over the whole
