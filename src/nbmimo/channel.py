@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg.blas import zherk
@@ -110,6 +110,36 @@ def sample_iid(n_t: int, n_r: int, rng: np.random.Generator) -> np.ndarray:
     return h
 
 
+def sample_bartlett(n_t: int, n_r: int, rng: np.random.Generator) -> np.ndarray:
+    """Lower-triangular N_t x N_t factor L of an i.i.d. CN(0, 1) N_r x N_t H.
+
+    For N_r >= N_t, QR-factoring H with its columns taken last to first
+    writes H = Q L, Q with orthonormal columns and independent of L.  The
+    entries of L are independent: |L_ii|^2 ~ Gamma(N_r - N_t + i) for
+    i = 1..N_t, taken real and positive, and L_ij ~ CN(0, 1) below the
+    diagonal (the complex Bartlett decomposition of the Wishart matrix
+    H^H H = L^H L).  A detector that reads H only through H^H H and
+    H^H y sees the same law from (L, Q^H y), and Q^H n of a CN(0, s I)
+    noise n is CN(0, s I_{N_t}).  This costs N_t (N_t - 1) normals and
+    N_t gamma draws instead of 2 N_r N_t normals.
+    """
+    if n_r < n_t:
+        raise ValueError(f"the Bartlett factor needs n_r >= n_t, got {n_r} < {n_t}")
+    below = _strictly_lower(n_t)
+    lower = np.zeros((n_t, n_t), dtype=np.complex128)
+    z = rng.standard_normal(2 * np.count_nonzero(below)).view(np.complex128)
+    z *= np.sqrt(0.5)
+    lower[below] = z
+    shape = np.arange(n_r - n_t + 1, n_r + 1, dtype=np.float64)
+    np.fill_diagonal(lower, np.sqrt(rng.standard_gamma(shape)))
+    return lower
+
+
+@lru_cache(maxsize=4)
+def _strictly_lower(n: int) -> np.ndarray:
+    return np.tri(n, k=-1, dtype=bool)
+
+
 def _exponential(rho: float, n: int) -> np.ndarray:
     idx = np.arange(n)
     return rho ** np.abs(idx[:, None] - idx[None, :])
@@ -161,7 +191,11 @@ class CorrelationSpec:
 
 
 def apply_correlation(h_iid: np.ndarray, corr: CorrelationSpec) -> np.ndarray:
-    return corr.factor_r @ h_iid @ corr.factor_t.T
+    """L_r H L_t^T, the real factors applied to Re H and Im H as real products."""
+    h = np.empty_like(h_iid)
+    h.real = corr.factor_r @ h_iid.real @ corr.factor_t.T
+    h.imag = corr.factor_r @ h_iid.imag @ corr.factor_t.T
+    return h
 
 
 def perturb_estimate(

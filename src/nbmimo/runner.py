@@ -25,6 +25,7 @@ from nbmimo.channel import (
     gray_constellation,
     map_codeword,
     perturb_estimate,
+    sample_bartlett,
     sample_iid,
     snr_to_noise,
     spectral_efficiency,
@@ -92,16 +93,41 @@ def _stats_from_counts(counts: np.ndarray, bits_per_frame: int):
 
 def _detect_each_use(kind, cfg, corr, sigma2_e, sigma2_n, const, rng, vectors):
     """Stacked likelihood rows of transmit vectors, each use through its own
-    H: draw H, correlate it, perturb its estimate, transmit, detect."""
+    channel draw (`_draw_use`).  MMSE on i.i.d. fading with N_r >= N_t
+    draws the Bartlett factor of H^H H; every other kind draws H."""
+    bartlett = kind == "mmse" and corr is None and cfg.n_r >= cfg.n_t
     blocks = []
     for s_vec in vectors:
-        h = sample_iid(cfg.n_t, cfg.n_r, rng)
+        h_est, y = _draw_use(s_vec, cfg.n_r, corr, sigma2_e, sigma2_n, rng, bartlett)
+        blocks.append(soft_detect(kind, h_est, y, sigma2_n, const))
+    return np.vstack(blocks)
+
+
+def _draw_use(s, n_r, corr, sigma2_e, sigma2_n, rng, bartlett):
+    """(receiver's channel estimate, received vector) of one use of s.
+
+    The full route draws H, correlates it, perturbs its estimate and
+    transmits.  The Bartlett route (i.i.d. fading, N_r >= N_t) serves a
+    detector that reads the estimate only through H_est^H H_est and
+    H_est^H y.  H_est is CN(0, a), a = 1 + sigma_e^2, so it is sqrt(a) Q L
+    with L the Bartlett factor (`sample_bartlett`).  And H = H_est / a + D
+    with D ~ CN(0, sigma_e^2 / a) independent of H_est, so y = H_est s / a
+    + v with v ~ CN(0, (sigma_e^2 / a) ||s||^2 + 2 sigma_n^2).  The route
+    returns sqrt(a) L and Q^H y in law: sqrt(a) L s / a plus v's law on
+    N_t components.
+    """
+    if not bartlett:
+        h = sample_iid(len(s), n_r, rng)
         if corr is not None:
             h = apply_correlation(h, corr)
         h_est = perturb_estimate(h, sigma2_e, rng)
-        y = transmit(h, s_vec, sigma2_n, rng)
-        blocks.append(soft_detect(kind, h_est, y, sigma2_n, const))
-    return np.vstack(blocks)
+        return h_est, transmit(h, s, sigma2_n, rng)
+    a = 1.0 + sigma2_e
+    h_est = sample_bartlett(len(s), n_r, rng)
+    if sigma2_e > 0:
+        h_est *= np.sqrt(a)
+    leak = sigma2_e / a * np.vdot(s, s).real / 2
+    return h_est, transmit(h_est, s / a, sigma2_n + leak, rng)
 
 
 def _run_point(cfg: ExperimentConfig, spec, kind: str, sigma2_e: float,
@@ -112,8 +138,10 @@ def _run_point(cfg: ExperimentConfig, spec, kind: str, sigma2_e: float,
     Frame f draws from `substream(seed, purpose, f)` alone, so a point's
     row does not depend on the other points of its sweep.  Coded
     simplified-MF frames draw their estimates through
-    `mf_simplified_samples`, without H; every other frame draws H per use.
-    An uncoded frame is one channel use, hard-sliced per stream.
+    `mf_simplified_samples`, without H; MMSE frames on i.i.d. fading with
+    N_r >= N_t draw the Bartlett factor of H^H H per use
+    (`_detect_each_use`); every other frame draws H per use.  An uncoded
+    frame is one channel use, hard-sliced per stream.
     """
     const = gray_constellation(cfg.modulation, symbol_energy=1.0 / cfg.n_t)
     corr = None
@@ -199,8 +227,9 @@ def run_ber(cfg: ExperimentConfig, progress=None) -> list[SweepSummary]:
 def run_uncoded(cfg: ExperimentConfig, progress=None) -> list[SweepSummary]:
     """Uncoded sweep: one frame is one channel use, hard-sliced per stream.
 
-    Every detector draws H, so for BPSK the exact and simplified MF slice
-    the same estimates up to a positive per-stream scale.
+    Both matched filters draw H in the same order, so for BPSK the exact
+    and simplified MF slice the same estimates up to a positive per-stream
+    scale.
     """
     return _sweep(cfg, None, progress)
 

@@ -10,6 +10,7 @@ from nbmimo.channel import (
     instantaneous_capacity,
     map_codeword,
     perturb_estimate,
+    sample_bartlett,
     sample_iid,
     snr_to_noise,
     spectral_efficiency,
@@ -121,6 +122,37 @@ class TestChannelSampling:
             vals.extend(np.real(np.sum(h.conj() * h, axis=0)))
         assert abs(np.mean(vals) / 200 - 1.0) < 0.01
 
+    @pytest.mark.parametrize("n_t,n_r", [(1, 1), (5, 5), (6, 9)])
+    def test_bartlett_factor_shape(self, n_t, n_r):
+        # Lower triangular with a real positive diagonal; the same seed
+        # gives the same factor.
+        got = sample_bartlett(n_t, n_r, np.random.default_rng(6))
+        assert got.shape == (n_t, n_t) and got.dtype == np.complex128
+        assert not np.triu(got, 1).any()
+        assert np.all(got.diagonal().real > 0) and not got.diagonal().imag.any()
+        assert np.array_equal(got, sample_bartlett(n_t, n_r, np.random.default_rng(6)))
+
+    def test_bartlett_factor_moments(self):
+        # |L_ii|^2 ~ Gamma(N_r - N_t + i) and E|L_ij|^2 = 1 below the
+        # diagonal, each mean within 4 standard errors; the entries below
+        # the diagonal have zero mean and E[L_ij^2] = 0 (circular).
+        n_t, n_r, draws = 4, 7, 40_000
+        rng = np.random.default_rng(7)
+        ls = np.array([sample_bartlett(n_t, n_r, rng) for _ in range(draws)])
+        lower = np.tri(n_t, dtype=bool)
+        power = (np.abs(ls) ** 2)[:, lower]
+        want = (np.tri(n_t, k=-1) + np.diag(np.arange(n_r - n_t + 1, n_r + 1)))[lower]
+        se = power.std(axis=0, ddof=1) / np.sqrt(draws)
+        assert np.all(np.abs(power.mean(axis=0) - want) < 4 * se)
+        z = ls[:, np.tri(n_t, k=-1, dtype=bool)]
+        for part in (z.real, z.imag, (z * z).real, (z * z).imag):
+            se = part.std(axis=0, ddof=1) / np.sqrt(draws)
+            assert np.all(np.abs(part.mean(axis=0)) < 4 * se)
+
+    def test_bartlett_factor_needs_enough_receivers(self):
+        with pytest.raises(ValueError, match="n_r >= n_t"):
+            sample_bartlett(4, 3, np.random.default_rng(8))
+
     @pytest.mark.parametrize("n_t,n_r", [(1, 1), (3, 7), (64, 600)])
     def test_equals_complex_division_of_two_draws(self, n_t, n_r):
         # The former expression, with its temporaries, bit for bit.
@@ -186,6 +218,17 @@ class TestCorrelation:
             spec = CorrelationSpec(0.5, rho_r, 16, n_r)
             spec.eig_t, spec.eig_r
         assert calls == [(16, 16), (16, 16), (16, 16), (12, 12)]
+
+    @pytest.mark.parametrize("n_t,n_r", [(4, 4), (5, 9)])
+    def test_equals_complex_product(self, n_t, n_r):
+        # Two real products on Re H and Im H: the complex product L_r H L_t^T
+        # of the real factors, to rounding.
+        spec = CorrelationSpec(0.5, 0.3, n_t, n_r)
+        h = sample_iid(n_t, n_r, np.random.default_rng(20))
+        want = spec.factor_r.astype(complex) @ h @ spec.factor_t.T.astype(complex)
+        got = apply_correlation(h, spec)
+        assert got.dtype == h.dtype
+        assert np.max(np.abs(got - want)) < 1e-14
 
     def test_zero_rho_is_identity(self):
         spec = CorrelationSpec(0.0, 0.0, 4, 4)

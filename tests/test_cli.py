@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nbmimo.channel import CorrelationSpec, ergodic_capacity
+from nbmimo.channel import CorrelationSpec, ergodic_capacity, sample_iid
 from nbmimo.cli import build_parser, load_config, main
 from nbmimo.config import INI_KEYS, ConfigError, ExperimentConfig
 from nbmimo.presets import PRESETS, preset_text
@@ -392,6 +392,26 @@ class TestRunners:
         rows, _ = run_command(cfg)
         assert rows[0].frames == 3
 
+    @pytest.mark.parametrize("command", ["ber", "uncoded"])
+    def test_iid_mmse_draws_no_channel_matrix(self, monkeypatch, command):
+        # I.i.d. MMSE uses draw the Bartlett factor, with or without
+        # estimation error; correlated MMSE uses still draw H.
+        import nbmimo.runner as runner
+
+        drawn = []
+        monkeypatch.setattr(
+            runner, "sample_iid", lambda *a: drawn.append(a) or sample_iid(*a)
+        )
+        cfg = ExperimentConfig.from_ini(preset_text("ci-small-ber"))
+        cfg.command = command
+        cfg.est_error_vars = [0.0, 0.1]
+        cfg.max_frames = 2
+        rows, _ = run_command(cfg)
+        assert [r.frames for r in rows] == [2, 2] and drawn == []
+        cfg.rho_t = 0.3
+        run_command(cfg)
+        assert drawn
+
     def test_correlated_coded_sweep_needs_no_eigendecomposition(self, monkeypatch):
         # Correlated detection uses the closed-form Cholesky factors; only
         # capacity reads the eigenvalues.
@@ -430,13 +450,15 @@ class TestRunners:
                 want = ergodic_capacity(6, 6, gamma_db, 20, rng)
             assert (row["capacity_bps_hz"], row["std_error"]) == want
 
-    def test_uncoded_bpsk_matched_filters_share_each_use(self):
-        # The uncoded link draws H for every detector, so for BPSK the exact
-        # and simplified MF estimates differ by a positive per-stream scale
-        # and slice alike: their rows agree field for field.
+    @pytest.mark.parametrize("rho", [0.0, 0.3])
+    def test_uncoded_bpsk_matched_filters_share_each_use(self, rho):
+        # The uncoded link draws H for both matched filters, also on i.i.d.
+        # fading where MMSE draws only a Bartlett factor, so for BPSK the
+        # exact and simplified MF estimates differ by a positive per-stream
+        # scale and slice alike: their rows agree field for field.
         cfg = ExperimentConfig(
             command="uncoded", n_t=8, n_r=8, modulation=2,
-            detectors=["mf-exact", "mf-simplified"], rho_t=0.3, rho_r=0.3,
+            detectors=["mf-exact", "mf-simplified"], rho_t=rho, rho_r=rho,
             est_error_vars=[0.0, 0.1], gamma_db=[-4.0, 6.0],
             min_frame_errors=20, max_frames=300,
         )

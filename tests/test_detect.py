@@ -9,6 +9,7 @@ from nbmimo.channel import (
     apply_correlation,
     gray_constellation,
     perturb_estimate,
+    sample_bartlett,
     sample_iid,
     snr_to_noise,
     transmit,
@@ -26,7 +27,7 @@ from nbmimo.detect import (
     symbol_priors,
 )
 from nbmimo.galois import build_field
-from nbmimo.runner import ks_gaussian_test, substream
+from nbmimo.runner import _draw_use, ks_gaussian_test, substream
 
 
 def _receive_side_weights(h, c):
@@ -81,6 +82,30 @@ def _de_channel_uses(seed, b, n, gamma_db):
     noise_scale = np.float32(np.sqrt(sigma2))
     y.real += noise_scale * rng.standard_normal((b, n), dtype=np.float32)
     y.imag += noise_scale * rng.standard_normal((b, n), dtype=np.float32)
+    return h, y, sigma2, c
+
+
+def _bartlett_use(seed, n_t, n_r, modulation):
+    """One noisy use through a Bartlett factor L: (L, L s + w)."""
+    rng = np.random.default_rng(seed)
+    c = gray_constellation(modulation, symbol_energy=1 / n_t)
+    sigma2 = snr_to_noise(0.0)
+    h = sample_bartlett(n_t, n_r, rng)
+    s = c.points[rng.integers(0, modulation, size=n_t)]
+    return h, transmit(h, s, sigma2, rng), sigma2, c
+
+
+def _one_entry_above_diagonal(seed):
+    """A Bartlett use with one nonzero entry put above the diagonal."""
+    h, y, sigma2, c = _bartlett_use(seed, 8, 8, 2)
+    h[2, 5] = 0.4 - 0.3j
+    return h, y, sigma2, c
+
+
+def _complex_diagonal(seed):
+    """A lower-triangular use whose diagonal is not real."""
+    h, y, sigma2, c = _bartlett_use(seed, 8, 8, 2)
+    h[np.arange(8), np.arange(8)] *= np.exp(0.7j)
     return h, y, sigma2, c
 
 
@@ -168,15 +193,23 @@ class TestMmseSoft:
                 lambda: _de_channel_uses(44, 4, 12, -2.5), id="de-batch-complex64"
             ),
             pytest.param(lambda: _stack(45, (2, 3), 8, 8, 4), id="two-batch-axes"),
+            pytest.param(lambda: _bartlett_use(47, 16, 16, 2), id="bartlett-bpsk"),
+            pytest.param(lambda: _bartlett_use(48, 12, 20, 16), id="bartlett-16qam"),
+            pytest.param(lambda: _one_entry_above_diagonal(49), id="one-entry-above"),
+            pytest.param(lambda: _complex_diagonal(50), id="complex-diagonal"),
         ],
     )
     def test_matches_receive_side_solve(self, draw):
         # Each use against its own N_r-side solve W = (c I + H H^H)^{-1} H,
-        # taken in double precision.
+        # taken in double precision.  A Bartlett factor takes lauum in place
+        # of herk; a square h with one entry above the diagonal, or with a
+        # complex diagonal, must not.  Neither route writes into h.
         h, y, sigma2, c = draw()
+        h_in = h.copy()
         n_t = h.shape[-1]
         es, n0 = 1.0, 2 * sigma2
         est, block = mmse_soft(h, y, es, n_t, n0, c)
+        assert np.array_equal(h, h_in)
         tol = 1e-5 if h.dtype == np.complex64 else 1e-12
         assert est.s_hat.dtype == h.dtype
         assert est.mu.dtype == est.var.dtype == h.real.dtype
@@ -455,6 +488,73 @@ class TestMfSimplifiedSamples:
         _, _, sigma2_k = mf_sinr(np.ones((6, 8)), 1.0, 8, sigma2, mode="simplified")
         assert rows.shape == (5, 8, 4)
         assert np.array_equal(rows, mf_soft(est, sigma2_k, const))
+
+
+# (n_t, n_r, modulation, sigma2_e) of the Bartlett-route checks.
+BARTLETT_SYSTEMS = [
+    (n_t, n_r, modulation, sigma2_e)
+    for n_t, n_r in ((8, 8), (8, 12))
+    for modulation in (2, 16)
+    for sigma2_e in (0.0, 0.1)
+]
+
+
+def pipeline_mmse_uses(s, n_r, sigma2_n, sigma2_e, uses, rng):
+    """(estimates, received vectors) of s through a drawn H per use, in the
+    sweep's full-H order: sample_iid, perturb_estimate, transmit."""
+    h_est = np.empty((uses, n_r, len(s)), dtype=complex)
+    y = np.empty((uses, n_r), dtype=complex)
+    for i in range(uses):
+        h = sample_iid(len(s), n_r, rng)
+        h_est[i] = perturb_estimate(h, sigma2_e, rng)
+        y[i] = transmit(h, s, sigma2_n, rng)
+    return h_est, y
+
+
+class TestBartlettRoute:
+    """The sweep's MMSE route through the Bartlett factor (`_draw_use`)."""
+
+    @pytest.mark.parametrize("n_t,n_r,modulation,sigma2_e", BARTLETT_SYSTEMS)
+    def test_matches_full_channel_pipeline_in_law(self, n_t, n_r, modulation, sigma2_e):
+        # Two-sample KS tests, alpha = 0.001 each, one value per use.  mu_0
+        # and the projection of s_hat_0 on s_0 probe one stream; the
+        # cross-stream product and |s_hat_1| the joint law over streams.
+        uses = 6000
+        c = gray_constellation(modulation, symbol_energy=1 / n_t)
+        s = c.points[np.arange(n_t) % modulation]
+        sigma2 = snr_to_noise(0.0)
+        rng = np.random.default_rng(95)
+        draws = [_draw_use(s, n_r, None, sigma2_e, sigma2, rng, True) for _ in range(uses)]
+        h, y = (np.array(part) for part in zip(*draws))
+        got, _ = mmse_soft(h, y, 1.0, n_t, 2 * sigma2, c)
+        rng = np.random.default_rng(96)
+        h, y = pipeline_mmse_uses(s, n_r, sigma2, sigma2_e, uses, rng)
+        want, _ = mmse_soft(h, y, 1.0, n_t, 2 * sigma2, c)
+        for name, stat in (
+            ("mu_0", lambda e: e.mu[:, 0]),
+            ("Re(s_hat_0 conj s_0)", lambda e: (e.s_hat[:, 0] * np.conj(s[0])).real),
+            ("Re(s_hat_0 conj s_hat_1)", lambda e: (e.s_hat[:, 0] * e.s_hat[:, 1].conj()).real),
+            ("|s_hat_1|", lambda e: np.abs(e.s_hat[:, 1])),
+        ):
+            p = stats.ks_2samp(stat(got), stat(want)).pvalue
+            assert p > 1e-3, f"{name}: KS p = {p:.3g}"
+
+    @pytest.mark.parametrize("sigma2_e", [0.0, 0.1])
+    def test_gram_mean(self, sigma2_e):
+        # E[L^H L] = E[H_est^H H_est] = (1 + sigma_e^2) N_r I: every real
+        # and imaginary part within 4 standard errors.
+        n_t, n_r, uses = 4, 6, 20_000
+        s = gray_constellation(2, symbol_energy=1 / n_t).points[np.zeros(n_t, int)]
+        rng = np.random.default_rng(97)
+        grams = np.empty((uses, n_t, n_t), dtype=complex)
+        for i in range(uses):
+            h, _ = _draw_use(s, n_r, None, sigma2_e, snr_to_noise(0.0), rng, True)
+            grams[i] = h.conj().T @ h
+        dev = grams - (1 + sigma2_e) * n_r * np.eye(n_t)
+        for part in (dev.real, dev.imag):
+            se = part.std(axis=0, ddof=1) / np.sqrt(uses)
+            se[se == 0] = np.inf  # the imaginary diagonal is exactly zero
+            assert np.all(np.abs(part.mean(axis=0)) < 4 * se), part.mean(axis=0) / se
 
 
 class TestMfSoft:
