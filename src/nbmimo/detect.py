@@ -15,23 +15,27 @@ Two detector families are provided:
   N_r N_t^2 / 2 + N_t^3 / 3 complex multiply-adds, where the N_r-side
   solve for W costs about 2 N_r^2 N_t + N_r^3 / 6.  Given the triangular
   Bartlett factor of H^H H instead of H (`channel.sample_bartlett`, the
-  sweeps' i.i.d. MMSE uses), lauum forms the Gram in N_t^3 / 6, so a use
+  sweeps' i.i.d. uses), lauum forms the Gram in N_t^3 / 6, so a use
   costs about N_t^3 / 2.
 
 * Matched filter: W_k = H_k^H / (H_k^H H_k), or the large-array
   simplification W_k = H_k^H / N_r.  The post-detection interference plus
   noise power Delta_k feeds a Gaussian likelihood with variance
   sigma_k^2 = Delta_k / 2; in simplified mode Delta_k reduces to the
-  stream-independent constant 2 sigma_n^2 / N_r.  The Gaussian model is
-  an assumption about the interference-plus-noise term s_hat_k - s_k
-  itself (`mf_interference_samples` draws it); Delta_k, being a power, is
-  positive and skewed.  `mf_simplified_samples` draws the simplified
-  estimates, each channel use with its own H, correlated or not, with or
-  without estimation error, from a sufficient statistic instead of H.
+  stream-independent constant 2 sigma_n^2 / N_r.  Both modes read H only
+  through H^H H and H^H y, so they take a Bartlett factor in place of H as
+  MMSE does: exact mode then forms the Gram with lauum, and simplified
+  mode takes N_r from the caller, since the factor has N_t rows.  The
+  Gaussian model is an assumption about the interference-plus-noise term
+  s_hat_k - s_k itself (`mf_interference_samples` draws it); Delta_k,
+  being a power, is positive and skewed.  `mf_simplified_samples` draws
+  the simplified estimates, each channel use with its own H, correlated or
+  not, with or without estimation error, from a sufficient statistic
+  instead of H.
 
 `soft_detect` maps a detector kind (one of `DETECTORS`) to its per-stream
-likelihood rows; every consumer that draws H (coded and uncoded sweeps,
-density evolution) detects through it.  Every detector takes leading batch axes,
+likelihood rows; every consumer (coded and uncoded sweeps, density
+evolution) detects through it.  Every detector takes leading batch axes,
 h of shape (..., N_r, N_t) and y of shape (..., N_r), and gives the same
 bits as one call per channel use.
 
@@ -174,9 +178,15 @@ def _normalize_rows(log_lik: np.ndarray) -> np.ndarray:
     return lik / lik.sum(axis=-1, keepdims=True)
 
 
-def mf_detect(h: np.ndarray, y: np.ndarray, mode: str = "simplified") -> np.ndarray:
-    """Matched-filter estimates; `mode` picks the exact or 1/N_r weights."""
-    n_r = h.shape[-2]
+def mf_detect(
+    h: np.ndarray, y: np.ndarray, mode: str = "simplified", n_r: int | None = None
+) -> np.ndarray:
+    """Matched-filter estimates; `mode` picks the exact or 1/N_r weights.
+
+    `n_r` is the system's receive antenna count, h's row count when None;
+    a Bartlett factor of H^H H stands for H but has N_t rows.
+    """
+    n_r = h.shape[-2] if n_r is None else n_r
     proj = (h.conj().swapaxes(-1, -2) @ y[..., None])[..., 0]
     if mode == "exact":
         norms = np.real(np.sum(h.conj() * h, axis=-2))
@@ -194,21 +204,36 @@ def mf_sinr(
     n_t: int,
     sigma2_n: float,
     mode: str = "simplified",
+    n_r: int | None = None,
 ):
     """(delta_k, Delta_k, sigma2_k), each an array over the streams of h.
 
     Exact mode evaluates
     Delta_k = (E_s/N_t) sum_{i != k} |W_k H_i|^2 + 2 sigma_n^2 |W_k|^2
-    with W_k = H_k^H / (H_k^H H_k).  Simplified mode returns the
-    precomputed constant Delta = 2 sigma_n^2 / N_r for every stream.
+    with W_k = H_k^H / (H_k^H H_k), that is
+    (E_s/N_t) (sum_i |G_ki|^2 - G_kk^2) / G_kk^2 + 2 sigma_n^2 / G_kk with
+    G = H^H H.  A two-dimensional Bartlett factor L takes the upper
+    triangle T of conj(G) = conj(L^H L) from lauum, as `_mmse_nt_side`
+    does, in place of a full product: sum_i |G_ki|^2 is then the sum of
+    |T|^2 over row k and column k, with the diagonal counted once.
+    Simplified mode returns the precomputed constant
+    Delta = 2 sigma_n^2 / N_r for every stream, with N_r the `n_r` given
+    (h's row count when None).
     """
     if mode == "simplified":
-        n_r = h.shape[-2]
+        n_r = h.shape[-2] if n_r is None else n_r
         big_delta = np.full(h.shape[:-2] + h.shape[-1:], 2.0 * sigma2_n / n_r)
     elif mode == "exact":
-        g = h.conj().swapaxes(-1, -2) @ h
-        gk = np.real(np.diagonal(g, axis1=-2, axis2=-1))
-        interference = (np.abs(g) ** 2).sum(axis=-1) - gk**2
+        if h.ndim == 2 and _is_bartlett_factor(h):
+            (lauum,) = get_lapack_funcs(("lauum",), (h,))
+            upper, _ = lauum(h.T)
+            gk = upper.diagonal().real
+            power = np.abs(upper) ** 2
+            interference = power.sum(axis=0) + power.sum(axis=1) - 2 * gk**2
+        else:
+            g = h.conj().swapaxes(-1, -2) @ h
+            gk = np.real(np.diagonal(g, axis1=-2, axis2=-1))
+            interference = (np.abs(g) ** 2).sum(axis=-1) - gk**2
         big_delta = (es / n_t) * interference / gk**2 + 2.0 * sigma2_n / gk
     else:
         raise ValueError(f"unknown matched-filter mode {mode!r}")
@@ -253,7 +278,7 @@ def mf_simplified_samples(
     costs four matrix-vector products and O(N_t + N_r) normals per use,
     instead of N_t N_r normals and two O(n^3) products, and the estimates
     have the joint law over the streams of the full-H pipeline.
-    It needs the constant 1/N_r weights: exact MF and MMSE need H itself.
+    It needs the constant 1/N_r weights: exact MF and MMSE need H^H H.
     """
     b, n_t = s.shape
     half = np.sqrt(0.5)
@@ -291,11 +316,15 @@ def soft_detect(
     y: np.ndarray,
     sigma2_n: float,
     constellation,
+    n_r: int | None = None,
 ) -> np.ndarray:
     """Per-stream likelihood rows Pr(s_hat_k | s) of one detector kind.
 
     `sigma2_n` is the noise variance per real component, and E_s = 1.
     Every kind takes leading batch axes; the rows have shape (..., N_t, M).
+    h may be a Bartlett factor of H^H H in place of H; `n_r` then names
+    the system's N_r, which the simplified MF reads (h's row count when
+    None).
     """
     if kind not in DETECTORS:
         raise ValueError(f"unknown detector {kind!r}")
@@ -304,8 +333,8 @@ def soft_detect(
         _, block = mmse_soft(h, y, 1.0, n_t, 2 * sigma2_n, constellation)
         return block
     mode = kind.removeprefix("mf-")
-    s_hat = mf_detect(h, y, mode=mode)
-    _, _, sigma2_k = mf_sinr(h, 1.0, n_t, sigma2_n, mode=mode)
+    s_hat = mf_detect(h, y, mode=mode, n_r=n_r)
+    _, _, sigma2_k = mf_sinr(h, 1.0, n_t, sigma2_n, mode=mode, n_r=n_r)
     return mf_soft(s_hat, sigma2_k, constellation)
 
 

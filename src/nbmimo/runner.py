@@ -93,30 +93,31 @@ def _stats_from_counts(counts: np.ndarray, bits_per_frame: int):
 
 def _detect_each_use(kind, cfg, corr, sigma2_e, sigma2_n, const, rng, vectors):
     """Stacked likelihood rows of transmit vectors, each use through its own
-    channel draw (`_draw_use`).  MMSE on i.i.d. fading with N_r >= N_t
-    draws the Bartlett factor of H^H H; every other kind draws H."""
-    bartlett = kind == "mmse" and corr is None and cfg.n_r >= cfg.n_t
+    channel draw (`_draw_use`), for every detector kind."""
     blocks = []
     for s_vec in vectors:
-        h_est, y = _draw_use(s_vec, cfg.n_r, corr, sigma2_e, sigma2_n, rng, bartlett)
-        blocks.append(soft_detect(kind, h_est, y, sigma2_n, const))
+        h_est, y = _draw_use(s_vec, cfg.n_r, corr, sigma2_e, sigma2_n, rng)
+        blocks.append(soft_detect(kind, h_est, y, sigma2_n, const, cfg.n_r))
     return np.vstack(blocks)
 
 
-def _draw_use(s, n_r, corr, sigma2_e, sigma2_n, rng, bartlett):
+def _draw_use(s, n_r, corr, sigma2_e, sigma2_n, rng):
     """(receiver's channel estimate, received vector) of one use of s.
 
-    The full route draws H, correlates it, perturbs its estimate and
-    transmits.  The Bartlett route (i.i.d. fading, N_r >= N_t) serves a
-    detector that reads the estimate only through H_est^H H_est and
-    H_est^H y.  H_est is CN(0, a), a = 1 + sigma_e^2, so it is sqrt(a) Q L
-    with L the Bartlett factor (`sample_bartlett`).  And H = H_est / a + D
-    with D ~ CN(0, sigma_e^2 / a) independent of H_est, so y = H_est s / a
-    + v with v ~ CN(0, (sigma_e^2 / a) ||s||^2 + 2 sigma_n^2).  The route
-    returns sqrt(a) L and Q^H y in law: sqrt(a) L s / a plus v's law on
-    N_t components.
+    Correlated fading and N_r < N_t take the full route: draw H, correlate
+    it, perturb its estimate and transmit.  I.i.d. fading with N_r >= N_t
+    takes the Bartlett route, which serves every detector here (MMSE and
+    both matched filters), since each reads the estimate only through
+    H_est^H H_est and H_est^H y.  H_est is CN(0, a), a = 1 + sigma_e^2, so
+    it is sqrt(a) Q L with L the Bartlett factor (`sample_bartlett`).  And
+    H = H_est / a + D with D ~ CN(0, sigma_e^2 / a) independent of H_est,
+    so y = H_est s / a + v with v ~ CN(0, (sigma_e^2 / a) ||s||^2
+    + 2 sigma_n^2).  The route returns sqrt(a) L and Q^H y in law:
+    sqrt(a) L s / a plus v's law on N_t components.  L has N_t rows, so a
+    detector that scales by 1/N_r (the simplified MF) takes N_r from the
+    caller.
     """
-    if not bartlett:
+    if corr is not None or n_r < len(s):
         h = sample_iid(len(s), n_r, rng)
         if corr is not None:
             h = apply_correlation(h, corr)
@@ -138,10 +139,10 @@ def _run_point(cfg: ExperimentConfig, spec, kind: str, sigma2_e: float,
     Frame f draws from `substream(seed, purpose, f)` alone, so a point's
     row does not depend on the other points of its sweep.  Coded
     simplified-MF frames draw their estimates through
-    `mf_simplified_samples`, without H; MMSE frames on i.i.d. fading with
-    N_r >= N_t draw the Bartlett factor of H^H H per use
-    (`_detect_each_use`); every other frame draws H per use.  An uncoded
-    frame is one channel use, hard-sliced per stream.
+    `mf_simplified_samples`, without H; every other frame on i.i.d. fading
+    with N_r >= N_t, uncoded simplified MF included, draws the Bartlett
+    factor of H^H H per use (`_detect_each_use`), and the rest draw H per
+    use.  An uncoded frame is one channel use, hard-sliced per stream.
     """
     const = gray_constellation(cfg.modulation, symbol_energy=1.0 / cfg.n_t)
     corr = None
@@ -227,9 +228,9 @@ def run_ber(cfg: ExperimentConfig, progress=None) -> list[SweepSummary]:
 def run_uncoded(cfg: ExperimentConfig, progress=None) -> list[SweepSummary]:
     """Uncoded sweep: one frame is one channel use, hard-sliced per stream.
 
-    Both matched filters draw H in the same order, so for BPSK the exact
-    and simplified MF slice the same estimates up to a positive per-stream
-    scale.
+    Both matched filters draw each use in the same order, H or its
+    Bartlett factor, so for BPSK the exact and simplified MF slice the same
+    estimates up to a positive per-stream scale.
     """
     return _sweep(cfg, None, progress)
 

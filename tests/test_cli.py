@@ -9,6 +9,7 @@ import pytest
 from nbmimo.channel import CorrelationSpec, ergodic_capacity, sample_iid
 from nbmimo.cli import build_parser, load_config, main
 from nbmimo.config import INI_KEYS, ConfigError, ExperimentConfig
+from nbmimo.detect import DETECTORS
 from nbmimo.presets import PRESETS, preset_text
 from nbmimo.runner import (
     ks_gaussian_test,
@@ -394,8 +395,10 @@ class TestRunners:
 
     @pytest.mark.parametrize("command", ["ber", "uncoded"])
     def test_iid_mmse_draws_no_channel_matrix(self, monkeypatch, command):
-        # I.i.d. MMSE uses draw the Bartlett factor, with or without
-        # estimation error; correlated MMSE uses still draw H.
+        # I.i.d. uses of every detector draw no H, with or without
+        # estimation error: the Bartlett factor, or for coded simplified-MF
+        # frames the sampler.  Correlated uses draw H, except coded
+        # simplified-MF frames.
         import nbmimo.runner as runner
 
         drawn = []
@@ -404,13 +407,17 @@ class TestRunners:
         )
         cfg = ExperimentConfig.from_ini(preset_text("ci-small-ber"))
         cfg.command = command
+        cfg.detectors = list(DETECTORS)
         cfg.est_error_vars = [0.0, 0.1]
         cfg.max_frames = 2
         rows, _ = run_command(cfg)
-        assert [r.frames for r in rows] == [2, 2] and drawn == []
+        assert [r.frames for r in rows] == [2] * 6 and drawn == []
         cfg.rho_t = 0.3
-        run_command(cfg)
-        assert drawn
+        for kind in DETECTORS:
+            drawn.clear()
+            run_command(replace(cfg, detectors=[kind]))
+            sampler = command == "ber" and kind == "mf-simplified"
+            assert bool(drawn) != sampler, kind
 
     def test_correlated_coded_sweep_needs_no_eigendecomposition(self, monkeypatch):
         # Correlated detection uses the closed-form Cholesky factors; only
@@ -452,10 +459,10 @@ class TestRunners:
 
     @pytest.mark.parametrize("rho", [0.0, 0.3])
     def test_uncoded_bpsk_matched_filters_share_each_use(self, rho):
-        # The uncoded link draws H for both matched filters, also on i.i.d.
-        # fading where MMSE draws only a Bartlett factor, so for BPSK the
-        # exact and simplified MF estimates differ by a positive per-stream
-        # scale and slice alike: their rows agree field for field.
+        # The uncoded link draws each use alike for both matched filters (a
+        # Bartlett factor on i.i.d. fading, H under correlation), so for
+        # BPSK the exact and simplified MF estimates differ by a positive
+        # per-stream scale and slice alike: their rows agree field for field.
         cfg = ExperimentConfig(
             command="uncoded", n_t=8, n_r=8, modulation=2,
             detectors=["mf-exact", "mf-simplified"], rho_t=rho, rho_r=rho,

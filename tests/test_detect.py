@@ -330,6 +330,36 @@ class TestMfSinr:
         assert np.all(sk == big_delta / 2)
         assert np.all(delta == (1.0 / 7) / big_delta)
 
+    @pytest.mark.parametrize(
+        "draw,factor",
+        [
+            pytest.param(lambda: _bartlett_use(47, 16, 16, 2), True, id="bartlett-bpsk"),
+            pytest.param(lambda: _bartlett_use(48, 12, 20, 16), True, id="bartlett-16qam"),
+            pytest.param(lambda: _one_entry_above_diagonal(49), False, id="one-entry-above"),
+            pytest.param(lambda: _complex_diagonal(50), False, id="complex-diagonal"),
+        ],
+    )
+    def test_exact_on_a_factor_matches_full_gram(self, monkeypatch, draw, factor):
+        # TestMmseSoft's factor draws: a Bartlett factor takes lauum, a
+        # square h with one entry above the diagonal or a complex diagonal
+        # the full product, and either gives the full-Gram Delta_k.
+        import nbmimo.detect as detect
+
+        routines = []
+        lapack = detect.get_lapack_funcs
+        monkeypatch.setattr(
+            detect, "get_lapack_funcs",
+            lambda names, *a: routines.extend(names) or lapack(names, *a),
+        )
+        h, _, sigma2, _ = draw()
+        n_t = h.shape[-1]
+        _, got, _ = mf_sinr(h, 1.0, n_t, sigma2, mode="exact")
+        g = h.conj().T @ h
+        gk = np.real(np.diag(g))
+        want = (1.0 / n_t) * ((np.abs(g) ** 2).sum(axis=1) - gk**2) / gk**2 + 2 * sigma2 / gk
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+        assert ("lauum" in routines) == factor
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             mf_sinr(np.eye(2, dtype=np.complex128), 1.0, 2, 0.1, mode="zf")
@@ -490,18 +520,23 @@ class TestMfSimplifiedSamples:
         assert np.array_equal(rows, mf_soft(est, sigma2_k, const))
 
 
-# (n_t, n_r, modulation, sigma2_e) of the Bartlett-route checks.
-BARTLETT_SYSTEMS = [
-    (n_t, n_r, modulation, sigma2_e)
+# (kind, n_t, n_r, modulation, sigma2_e) of the Bartlett-route law checks;
+# the MMSE ids name the system alone.
+BARTLETT_CASES = [
+    pytest.param(
+        kind, n_t, n_r, modulation, sigma2_e,
+        id=(f"{kind}-" if kind != "mmse" else "") + f"{n_t}-{n_r}-{modulation}-{sigma2_e}",
+    )
+    for kind in DETECTORS
     for n_t, n_r in ((8, 8), (8, 12))
     for modulation in (2, 16)
     for sigma2_e in (0.0, 0.1)
 ]
 
 
-def pipeline_mmse_uses(s, n_r, sigma2_n, sigma2_e, uses, rng):
+def pipeline_uses(s, n_r, sigma2_n, sigma2_e, uses, rng):
     """(estimates, received vectors) of s through a drawn H per use, in the
-    sweep's full-H order: sample_iid, perturb_estimate, transmit."""
+    sweeps' full-H order: sample_iid, perturb_estimate, transmit."""
     h_est = np.empty((uses, n_r, len(s)), dtype=complex)
     y = np.empty((uses, n_r), dtype=complex)
     for i in range(uses):
@@ -512,32 +547,55 @@ def pipeline_mmse_uses(s, n_r, sigma2_n, sigma2_e, uses, rng):
 
 
 class TestBartlettRoute:
-    """The sweep's MMSE route through the Bartlett factor (`_draw_use`)."""
+    """The sweeps' route through the Bartlett factor (`_draw_use`), which
+    every linear detector takes on i.i.d. fading."""
 
-    @pytest.mark.parametrize("n_t,n_r,modulation,sigma2_e", BARTLETT_SYSTEMS)
-    def test_matches_full_channel_pipeline_in_law(self, n_t, n_r, modulation, sigma2_e):
-        # Two-sample KS tests, alpha = 0.001 each, one value per use.  mu_0
-        # and the projection of s_hat_0 on s_0 probe one stream; the
-        # cross-stream product and |s_hat_1| the joint law over streams.
+    @pytest.mark.parametrize("kind,n_t,n_r,modulation,sigma2_e", BARTLETT_CASES)
+    def test_matches_full_channel_pipeline_in_law(
+        self, kind, n_t, n_r, modulation, sigma2_e
+    ):
+        # Two-sample KS tests, alpha = 0.001 each, one value per use.  The
+        # projection of s_hat_0 on s_0 and |s_hat_0| probe one stream; for
+        # MMSE, mu_0 and the cross-stream terms the joint law over streams;
+        # for exact MF, sigma2_0 from the Gram (lauum on the factor).  The
+        # simplified MF scales by the system's 1/N_r, not the factor's rows.
         uses = 6000
         c = gray_constellation(modulation, symbol_energy=1 / n_t)
         s = c.points[np.arange(n_t) % modulation]
         sigma2 = snr_to_noise(0.0)
         rng = np.random.default_rng(95)
-        draws = [_draw_use(s, n_r, None, sigma2_e, sigma2, rng, True) for _ in range(uses)]
+        draws = [_draw_use(s, n_r, None, sigma2_e, sigma2, rng) for _ in range(uses)]
         h, y = (np.array(part) for part in zip(*draws))
-        got, _ = mmse_soft(h, y, 1.0, n_t, 2 * sigma2, c)
+        got = self._detect(kind, h, y, n_t, n_r, sigma2, c)
         rng = np.random.default_rng(96)
-        h, y = pipeline_mmse_uses(s, n_r, sigma2, sigma2_e, uses, rng)
-        want, _ = mmse_soft(h, y, 1.0, n_t, 2 * sigma2, c)
-        for name, stat in (
-            ("mu_0", lambda e: e.mu[:, 0]),
-            ("Re(s_hat_0 conj s_0)", lambda e: (e.s_hat[:, 0] * np.conj(s[0])).real),
-            ("Re(s_hat_0 conj s_hat_1)", lambda e: (e.s_hat[:, 0] * e.s_hat[:, 1].conj()).real),
-            ("|s_hat_1|", lambda e: np.abs(e.s_hat[:, 1])),
-        ):
+        h, y = pipeline_uses(s, n_r, sigma2, sigma2_e, uses, rng)
+        want = self._detect(kind, h, y, n_t, n_r, sigma2, c)
+        checks = {
+            "Re(s_hat_0 conj s_0)": lambda e: (e["s_hat"][:, 0] * np.conj(s[0])).real,
+            "|s_hat_0|": lambda e: np.abs(e["s_hat"][:, 0]),
+        }
+        if kind == "mmse":
+            checks["mu_0"] = lambda e: e["mu"][:, 0]
+            checks["Re(s_hat_0 conj s_hat_1)"] = lambda e: (
+                e["s_hat"][:, 0] * e["s_hat"][:, 1].conj()
+            ).real
+            checks["|s_hat_1|"] = lambda e: np.abs(e["s_hat"][:, 1])
+        if kind == "mf-exact":
+            checks["sigma2_0"] = lambda e: e["sigma2"][:, 0]
+        for name, stat in checks.items():
             p = stats.ks_2samp(stat(got), stat(want)).pvalue
-            assert p > 1e-3, f"{name}: KS p = {p:.3g}"
+            assert p > 1e-3, f"{kind} {name}: KS p = {p:.3g}"
+
+    @staticmethod
+    def _detect(kind, h, y, n_t, n_r, sigma2, c):
+        """Per-use detector outputs, each use on its own as the sweeps call it."""
+        if kind == "mmse":
+            est, _ = mmse_soft(h, y, 1.0, n_t, 2 * sigma2, c)
+            return {"s_hat": est.s_hat, "mu": est.mu}
+        mode = kind.removeprefix("mf-")
+        s_hat = np.array([mf_detect(hu, yu, mode, n_r) for hu, yu in zip(h, y)])
+        sigma2_k = np.array([mf_sinr(hu, 1.0, n_t, sigma2, mode, n_r)[2] for hu in h])
+        return {"s_hat": s_hat, "sigma2": sigma2_k}
 
     @pytest.mark.parametrize("sigma2_e", [0.0, 0.1])
     def test_gram_mean(self, sigma2_e):
@@ -548,7 +606,7 @@ class TestBartlettRoute:
         rng = np.random.default_rng(97)
         grams = np.empty((uses, n_t, n_t), dtype=complex)
         for i in range(uses):
-            h, _ = _draw_use(s, n_r, None, sigma2_e, snr_to_noise(0.0), rng, True)
+            h, _ = _draw_use(s, n_r, None, sigma2_e, snr_to_noise(0.0), rng)
             grams[i] = h.conj().T @ h
         dev = grams - (1 + sigma2_e) * n_r * np.eye(n_t)
         for part in (dev.real, dev.imag):
