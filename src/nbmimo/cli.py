@@ -56,6 +56,23 @@ def load_config(args) -> ExperimentConfig:
     return cfg
 
 
+def _sweep_line(summary) -> str:
+    return (
+        f"[{summary.detector} g={summary.gamma_db:+.2f} dB "
+        f"se2={summary.est_error_var}] frames={summary.frames} "
+        f"ber={summary.ber:.3e} fer={summary.fer:.3e} "
+        f"({summary.stop_reason})"
+    )
+
+
+def _threshold_line(row) -> str:
+    return (
+        f"[threshold t={row['repeat_factor']} g={row['gamma_db']:+.2f} dB] "
+        f"renewals={row['iterations']} entropy={row['entropy']:.3e} "
+        f"decoded={int(row['decoded'])}"
+    )
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "presets":
@@ -71,14 +88,10 @@ def main(argv=None) -> int:
 
     progress = None
     if not args.quiet:
-        def progress(summary):
-            print(
-                f"[{summary.detector} g={summary.gamma_db:+.2f} dB "
-                f"se2={summary.est_error_var}] frames={summary.frames} "
-                f"ber={summary.ber:.3e} fer={summary.fer:.3e} "
-                f"({summary.stop_reason})",
-                file=sys.stderr,
-            )
+        line = _threshold_line if cfg.command == "threshold" else _sweep_line
+
+        def progress(point):
+            print(line(point), file=sys.stderr)
 
     rows, meta = run_command(cfg, progress=progress)
     if args.out:

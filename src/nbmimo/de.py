@@ -9,7 +9,12 @@ and repeatedly renewed, each new sample combining one check-node output
 nonzero edge coefficients) with a fresh channel sample.  Convolutions
 are products of Walsh-Hadamard spectra (Barnault & Declercq, ITW 2003),
 and an edge coefficient only permutes a spectrum, so a renewal
-transforms each member and each check output once.  The ensemble's
+transforms each member and each check output once.  A renewal draws its
+new samples' fresh channel priors a chunk at a time straight into their
+slice of the result, then gathers, multiplies and transforms the check
+outputs through a few cache-sized row-block buffers and multiplies each
+block into that slice: besides the ensemble and the result it holds only
+the prior sampler's work and one chunk's draws.  The ensemble's
 average Shannon entropy, in base 2^m, tracks the remaining ambiguity; an
 SNR decodes once the entropy falls below the stopping level.  Descending
 in fixed dB steps, the threshold is the last SNR that decoded.
@@ -60,9 +65,10 @@ class ThresholdSearchError(RuntimeError):
 
 # SNR points `find_threshold` tries before it gives up.
 MAX_POINTS = 500
-# Ensemble rows `ensemble_entropy` takes at once: at q = 256 the rows
-# and their buffer (512 KB each) stay in a 2 MB L2 cache between passes.
-_ENTROPY_ROWS = 256
+# Ensemble rows `ensemble_entropy` and `de_iterate`'s block loops take at
+# once: at q = 256 a block and its buffers (512 KB each) stay in a 2 MB L2
+# cache between passes.
+_BLOCK_ROWS = 256
 # Smallest normal float64: the entropy takes log(max(p, _TINY)).
 _TINY = np.finfo(np.float64).tiny
 # New samples `de_iterate` renews at once.
@@ -123,20 +129,23 @@ def ensemble_entropy(ensemble: np.ndarray, field: FieldTable) -> float:
     """
     p = np.asarray(ensemble, dtype=np.float64)
     rows = np.empty(len(p))
-    buf = np.empty((min(_ENTROPY_ROWS, len(p)),) + p.shape[1:])
-    for lo in range(0, len(p), _ENTROPY_ROWS):
-        chunk = p[lo : lo + _ENTROPY_ROWS]
+    buf = np.empty((min(_BLOCK_ROWS, len(p)),) + p.shape[1:])
+    for lo in range(0, len(p), _BLOCK_ROWS):
+        chunk = p[lo : lo + _BLOCK_ROWS]
         plogp = buf[: len(chunk)]
         np.maximum(chunk, _TINY, out=plogp)
         np.log(plogp, out=plogp)
         plogp *= chunk
-        plogp.sum(axis=1, out=rows[lo : lo + _ENTROPY_ROWS])
+        plogp.sum(axis=1, out=rows[lo : lo + _BLOCK_ROWS])
     # 0.0 - x, unlike -x, gives 0.0 for a row mean of 0.0.
     return float((0.0 - rows.mean()) / (np.log(2) * field.m))
 
 
-def _channel_prior_samples(cfg: DeConfig, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n independent raw symbol priors from the equivalent channel.
+def _channel_prior_samples(
+    cfg: DeConfig, n: int, rng: np.random.Generator, out: np.ndarray | None = None
+) -> np.ndarray:
+    """n independent raw symbol priors from the equivalent channel, into
+    `out` when it is given (a C-contiguous (n, 2^m) float64 array).
 
     Transmits the zero codeword: every antenna carries the label-0 point
     p0, so y = p0 g + n with g = sum_j h_j.  Each channel use yields n_t/q
@@ -180,7 +189,7 @@ def _channel_prior_samples(cfg: DeConfig, n: int, rng: np.random.Generator) -> n
     # Rows j < m of `signs` hold -b_j(x) and row m holds -1: [lambda, sum
     # of softplus(-lambda)] @ signs is the log prior.
     signs = -np.vstack([field.to_bits(np.arange(field.size)).T, np.ones(field.size)])
-    out = np.empty((n, field.size))
+    out = np.empty((n, field.size)) if out is None else out
     done = 0
     while done < n:
         b = min(max_batch, uses_left)
@@ -211,19 +220,30 @@ def _channel_prior_samples(cfg: DeConfig, n: int, rng: np.random.Generator) -> n
     return out
 
 
-def _fresh_samples(cfg: DeConfig, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n folded variable-node channel samples (repetition copies combined)."""
+def _fresh_samples(
+    cfg: DeConfig, n: int, rng: np.random.Generator, out: np.ndarray | None = None
+) -> np.ndarray:
+    """n folded variable-node channel samples (repetition copies combined),
+    into `out` when it is given (a C-contiguous (n, 2^m) float64 array).
+
+    With t > 1 copies, the t n raw priors come first, then the coefficients
+    c_1 .. c_{t-1} of every sample's later copies.  Copy j's prior is read
+    at x c_j, and the copies are multiplied into `out` one at a time, from
+    the first, before the floor and normalization.
+    """
     t = cfg.repeat_factor
-    raw = _channel_prior_samples(cfg, n * t, rng)
     if t == 1:
-        return raw
+        return _channel_prior_samples(cfg, n, rng, out=out)
     field = cfg.field
-    raw = raw.reshape(n, t, field.size)
-    coefs = np.ones((n, t), dtype=np.int64)
-    coefs[:, 1:] = rng.integers(1, field.size, size=(n, t - 1))
-    folded = np.take_along_axis(raw, field.mul_table[coefs], axis=2).prod(axis=1)
-    folded = np.maximum(folded, MSG_FLOOR)
-    return folded / folded.sum(axis=1, keepdims=True)
+    raw = _channel_prior_samples(cfg, n * t, rng).reshape(n, t, field.size)
+    coefs = rng.integers(1, field.size, size=(n, t - 1))
+    out = np.empty((n, field.size)) if out is None else out
+    out[:] = raw[:, 0]
+    for j in range(1, t):
+        out *= np.take_along_axis(raw[:, j], field.mul_table[coefs[:, j - 1]], axis=1)
+    np.maximum(out, MSG_FLOOR, out=out)
+    out /= out.sum(axis=1, keepdims=True)
+    return out
 
 
 def de_initial_ensemble(cfg: DeConfig, rng: np.random.Generator) -> np.ndarray:
@@ -251,10 +271,16 @@ def de_iterate(
     nodes have degree 2, so a new sample multiplies exactly one check
     output with a fresh channel prior.  Each chunk of CHUNK new samples
     draws, in this order, its fresh channel priors, its check inputs and
-    its edge coefficients.  The check node multiplies Walsh-Hadamard
+    its edge coefficients; the fresh priors go straight into the chunk's
+    slice of the result.  The check node multiplies Walsh-Hadamard
     spectra, where input coefficient a and output coefficient c permute
     an input's spectrum by P[a c^{-1}] (`_spectrum_permutations`).
 
+    The transforms and the combine run over blocks of _BLOCK_ROWS rows,
+    through three block-sized buffers: the check output, the transform's
+    work array (which also receives the gathered spectra of every input
+    after the first) and one flat gather index.  Entry u of input j reads
+    spectra[idx[j], P[k[j]][u]], and the inputs are multiplied in order.
     A C-contiguous float64 `ensemble` is overwritten with its spectra, so
     no ensemble-sized array besides the result is made; any other input
     is copied first and left as it was.
@@ -266,35 +292,41 @@ def de_iterate(
     d_in = cfg.d_c - 1
 
     perm = _spectrum_permutations(field)
-    rows = min(CHUNK, L)
+    rows = min(_BLOCK_ROWS, L)
     work, c2v = np.empty((rows, qsize)), np.empty((rows, qsize))
-    flat_idx = np.empty((rows, d_in, qsize), dtype=np.intp)
-    gathered = np.empty((rows, d_in, qsize))
-    for lo in range(0, L, CHUNK):
-        chunk = spectra[lo : lo + CHUNK]
-        fwht(chunk, out=chunk, work=work[: len(chunk)])
+    flat_idx = np.empty((rows, qsize), dtype=np.intp)
+    for lo in range(0, L, rows):
+        block = spectra[lo : lo + rows]
+        fwht(block, out=block, work=work[: len(block)])
 
     out = np.empty_like(spectra)
     flat_spectra = spectra.reshape(-1)
     for lo in range(0, L, CHUNK):
         hi = min(lo + CHUNK, L)
         b = hi - lo
-        fresh = _fresh_samples(cfg, b, rng)
+        renewed = _fresh_samples(cfg, b, rng, out=out[lo:hi])
         idx = rng.integers(0, L, size=(b, d_in))
         coefs_in = rng.integers(1, qsize, size=(b, d_in))
         coef_out = rng.integers(1, qsize, size=b)
         k = field.mul_table[coefs_in, field.inv_table[coef_out][:, None]]
-        # Flat gather: entry u of input j reads spectra[idx[j], P[k[j]][u]].
-        flat = np.take(perm, k, axis=0, out=flat_idx[:b], mode="clip")
-        flat += (idx * qsize)[..., None]
-        np.take(flat_spectra, flat, out=gathered[:b], mode="clip")
-        conv = np.prod(gathered[:b], axis=1, out=c2v[:b])
-        fwht(conv, out=conv, work=work[:b])
-        conv /= qsize
-        np.maximum(conv, MSG_FLOOR, out=conv)
-        fresh *= conv  # the renewed rows, before the floor and normalization
-        np.maximum(fresh, MSG_FLOOR, out=fresh)
-        np.divide(fresh, fresh.sum(axis=1, keepdims=True), out=out[lo:hi])
+        offsets = idx * qsize
+        for blo in range(0, b, rows):
+            bhi = min(blo + rows, b)
+            n = bhi - blo
+            conv, flat, gathered = c2v[:n], flat_idx[:n], work[:n]
+            for j in range(d_in):
+                np.take(perm, k[blo:bhi, j], axis=0, out=flat, mode="clip")
+                flat += offsets[blo:bhi, j, None]
+                np.take(flat_spectra, flat, out=gathered if j else conv, mode="clip")
+                if j:
+                    conv *= gathered
+            fwht(conv, out=conv, work=gathered)
+            conv /= qsize
+            np.maximum(conv, MSG_FLOOR, out=conv)
+            fresh = renewed[blo:bhi]
+            fresh *= conv  # the renewed rows, before the floor and normalization
+            np.maximum(fresh, MSG_FLOOR, out=fresh)
+            fresh /= fresh.sum(axis=1, keepdims=True)
     return out
 
 
@@ -312,12 +344,13 @@ def run_point(cfg: DeConfig, rng: np.random.Generator):
     return False, cfg.max_iterations, entropy
 
 
-def find_threshold(cfg: DeConfig, seed: int = 0) -> DeResult:
+def find_threshold(cfg: DeConfig, seed: int = 0, progress=None) -> DeResult:
     """Descend from gamma0 in step_db decrements until decoding fails.
 
     The declared threshold is the last SNR whose ensemble entropy fell
     below h_stop within the iteration budget.  Fails loudly if the very
-    first point does not decode.
+    first point does not decode.  `progress`, when given, is called with
+    each point's trajectory row as soon as the point is done.
     """
     trajectory = []
     previous = None
@@ -331,6 +364,8 @@ def find_threshold(cfg: DeConfig, seed: int = 0) -> DeResult:
         trajectory.append(
             {"gamma_db": gamma, "iterations": iters, "entropy": entropy, "decoded": ok}
         )
+        if progress:
+            progress(trajectory[-1])
         if ok:
             previous = gamma
             continue

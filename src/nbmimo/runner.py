@@ -275,7 +275,9 @@ def run_capacity(cfg: ExperimentConfig) -> list[dict]:
     return out
 
 
-def run_threshold(cfg: ExperimentConfig) -> list[dict]:
+def run_threshold(cfg: ExperimentConfig, progress=None) -> list[dict]:
+    """Each repeat factor's threshold descent; `progress`, when given, gets
+    every descent point's trajectory row with its repeat factor."""
     out = []
     for t, gamma0 in zip(cfg.de_repeat_factors, cfg.de_gamma0_db):
         de_cfg = DeConfig(
@@ -292,7 +294,10 @@ def run_threshold(cfg: ExperimentConfig) -> list[dict]:
             step_db=cfg.de_step_db,
             h_stop=cfg.de_h_stop,
         )
-        result = find_threshold(de_cfg, seed=cfg.master_seed + t)
+        point_done = None if progress is None else (
+            lambda row, t=t: progress({"repeat_factor": t, **row})
+        )
+        result = find_threshold(de_cfg, seed=cfg.master_seed + t, progress=point_done)
         rate = cfg.base_rate / t
         se = spectral_efficiency(cfg.bits_per_point, rate, cfg.n_t)
         # The CSV columns in order; a row leaves the ones it does not fill empty.
@@ -409,7 +414,12 @@ def write_csv(rows, metadata: dict, stream: io.TextIOBase) -> None:
 
 
 def run_command(cfg: ExperimentConfig, progress=None) -> tuple[list, dict]:
-    """Dispatch a validated config; returns (rows, metadata)."""
+    """Dispatch a validated config; returns (rows, metadata).
+
+    `progress`, when given, is called with each finished point: a
+    SweepSummary for `ber` and `uncoded`, a trajectory row with its repeat
+    factor for `threshold`.
+    """
     meta = {"nbmimo": __version__}
     meta.update(cfg.metadata())
     if cfg.command == "ber":
@@ -419,7 +429,7 @@ def run_command(cfg: ExperimentConfig, progress=None) -> tuple[list, dict]:
     elif cfg.command == "capacity":
         rows = run_capacity(cfg)
     elif cfg.command == "threshold":
-        rows = run_threshold(cfg)
+        rows = run_threshold(cfg, progress=progress)
     elif cfg.command == "flops":
         rows = run_flops(cfg)
     elif cfg.command == "ksdelta":

@@ -1,3 +1,4 @@
+import csv
 import io
 import pickle
 from dataclasses import fields, replace
@@ -527,6 +528,31 @@ class TestGolden:
         assert small - pinned == {"ci-small-threshold"}
 
 
+THRESHOLD_INI = """
+[meta]
+command = threshold
+[system]
+n_t = 16
+n_r = 16
+modulation = 2
+[code]
+m = 8
+n_symbols = 48
+d_c = 3
+[detector]
+kind = mf-simplified
+[de]
+ensemble_size = 10000
+max_iterations = 4
+step_db = 12.0
+h_stop = 1e-6
+repeat_factors = 2, 3
+gamma0_db = 4.0, 2.0
+[run]
+master_seed = 5
+"""
+
+
 class TestCliSurface:
     def test_parser_has_all_subcommands(self):
         parser = build_parser()
@@ -555,6 +581,29 @@ class TestCliSurface:
         text = out.read_text()
         assert "# command = flops" in text
         assert "221800" in text
+
+    def test_threshold_prints_one_line_per_descent_point(self, tmp_path, capsys):
+        # Progress goes to stderr, one line per point as it finishes;
+        # --quiet prints none, and the CSV bytes are the same either way.
+        config = tmp_path / "threshold.ini"
+        config.write_text(THRESHOLD_INI)
+        loud, quiet = tmp_path / "loud.csv", tmp_path / "quiet.csv"
+        assert main(["threshold", "--config", str(config), "--out", str(loud)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        args = ["threshold", "--config", str(config), "--quiet", "--out", str(quiet)]
+        assert main(args) == 0
+        assert capsys.readouterr().err == ""
+        assert loud.read_bytes() == quiet.read_bytes()
+        body = (line for line in loud.read_text().splitlines() if not line.startswith("#"))
+        points = [row for row in csv.DictReader(body) if row["record"] == "trajectory"]
+        assert {row["repeat_factor"] for row in points} == {"2", "3"}
+        assert len(lines) == len(points)
+        for line, row in zip(lines, points):
+            gamma = float(row["gamma_db"])
+            assert line.startswith(f"[threshold t={row['repeat_factor']} g={gamma:+.2f} dB] ")
+            assert f" renewals={row['iterations']} " in line
+            assert f" entropy={float(row['entropy']):.3e} " in line
+            assert line.endswith(f" decoded={row['decoded']}")
 
     def test_main_reports_bad_preset(self, capsys):
         code = main(["ber", "--preset", "nope"])

@@ -155,6 +155,21 @@ def renew_by_chunks(renewal, ens, cfg, rng):
     return out
 
 
+def renewal_peak_chunks(cfg):
+    """Peak traced allocation of one de_iterate call on a drawn ensemble,
+    less the result, in chunk-sized float64 arrays."""
+    ens = de_initial_ensemble(cfg, np.random.default_rng(33))
+    rng = np.random.default_rng(34)
+    de_iterate(ens[:2048].copy(), cfg, rng)  # first-call set-up outside the trace
+    tracemalloc.start()
+    try:
+        de_iterate(ens, cfg, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (peak - ens.nbytes) / (de.CHUNK * cfg.field.size * 8)
+
+
 def full_channel_mf_estimates(n_t, n_r, sigma2, uses, rng):
     """Simplified-MF estimates of the zero codeword through a drawn H."""
     point0 = gray_constellation(2, symbol_energy=1 / n_t).points[0]
@@ -188,7 +203,7 @@ class TestEntropy:
         f = build_field(2)
         assert ensemble_entropy(np.full((4, 4), 0.25), f) == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("rows", [64 * de._ENTROPY_ROWS + 5, 100])
+    @pytest.mark.parametrize("rows", [64 * de._BLOCK_ROWS + 5, 100])
     def test_chunked_sum_equals_whole_array_sum(self, rows):
         # Row entropies summed chunk by chunk give the bits of the same
         # formula, sum_x p log max(p, tiny) per row, over the whole
@@ -406,6 +421,25 @@ class TestLlrPriors:
         assert np.max(np.abs(got - want) / want) <= 1e-12
         assert np.max(np.abs(got.sum(axis=1) - 1)) <= 1e-12
 
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    def test_copy_by_copy_fold_equals_gathered_product(self, t):
+        # Multiplying the t copies into the result one at a time gives the
+        # bits of gathering all of them and reducing with np.prod, on the
+        # same raw priors and coefficients; `out` receives the result.
+        cfg = small_config(gamma0_db=-1.0, repeat_factor=t)
+        f, n = cfg.field, 1500
+        out = np.empty((n, f.size))
+        got = de._fresh_samples(cfg, n, np.random.default_rng(64), out=out)
+        rng = np.random.default_rng(64)
+        raw = de._channel_prior_samples(cfg, n * t, rng).reshape(n, t, f.size)
+        coefs = np.ones((n, t), dtype=np.int64)
+        coefs[:, 1:] = rng.integers(1, f.size, size=(n, t - 1))
+        folded = np.take_along_axis(raw, f.mul_table[coefs], axis=2).prod(axis=1)
+        folded = np.maximum(folded, MSG_FLOOR)
+        want = folded / folded.sum(axis=1, keepdims=True)
+        assert got is out
+        assert np.array_equal(got, want)
+
 
 class TestSpectrumPermutations:
     @pytest.mark.parametrize("m", range(2, 9))
@@ -462,6 +496,21 @@ class TestIterate:
         ens = de_initial_ensemble(cfg, np.random.default_rng(25))
         got = de_iterate(ens.copy(), cfg, np.random.default_rng(26))
         want = renew_by_chunks(spectral_renewal, fwht(ens), cfg, np.random.default_rng(26))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("d_c", [3, 4])
+    def test_row_blocks_give_the_same_bits(self, d_c, monkeypatch):
+        # Blocks of 100 rows, which do not divide the 512-row chunk, renew
+        # to the bits of one block per chunk and of the whole-chunk
+        # gathers, since every product is taken in the same order.
+        cfg = small_config(gamma0_db=1.0, ensemble_size=1500, d_c=d_c)
+        ens = de_initial_ensemble(cfg, np.random.default_rng(25))
+        want = renew_by_chunks(spectral_renewal, fwht(ens), cfg, np.random.default_rng(26))
+        monkeypatch.setattr(de, "_BLOCK_ROWS", de.CHUNK)
+        whole = de_iterate(ens.copy(), cfg, np.random.default_rng(26))
+        monkeypatch.setattr(de, "_BLOCK_ROWS", 100)
+        got = de_iterate(ens.copy(), cfg, np.random.default_rng(26))
+        assert np.array_equal(got, whole)
         assert np.array_equal(got, want)
 
     def test_spectral_renewal_matches_probability_domain_renewal(self):
@@ -527,23 +576,23 @@ class TestIterate:
 
     def test_holds_no_full_size_fresh_array(self):
         # Allocations traced while renewing an L = 2e4 ensemble stay below
-        # the result plus one chunk of work.  A chunk's fresh priors, gather
-        # index, gathered spectra and transform buffers measure about 10
-        # chunk-sized float64 arrays at d_c = 3; the bound allows 16.  A
+        # the result plus a few chunks of work.  The fresh priors go
+        # straight into the result, and the gathers, products and
+        # transforms run through block-sized buffers, so what is left per
+        # chunk is the prior sampler's own work and the draws: about 2.5
+        # chunk-sized float64 arrays at d_c = 3; the bound allows 4.  A
         # full-L fresh array, or a copy of the input's spectra, would add
-        # L q float64 entries, 41 MB against the 8 MB allowance.
+        # L q float64 entries, 41 MB against the 2 MB allowance.
         cfg = small_config(gamma0_db=0.0, ensemble_size=20_000)
-        ens = de_initial_ensemble(cfg, np.random.default_rng(33))
-        rng = np.random.default_rng(34)
-        de_iterate(ens[:2048].copy(), cfg, rng)  # first-call set-up outside the trace
-        chunk_bytes = de.CHUNK * cfg.field.size * 8
-        tracemalloc.start()
-        try:
-            de_iterate(ens, cfg, rng)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < ens.nbytes + 16 * chunk_bytes
+        assert renewal_peak_chunks(cfg) < 4
+
+    def test_holds_no_repetition_sized_gather(self):
+        # With t = 3 copies a chunk draws its 3 CHUNK raw priors, and the
+        # copies are folded into the result one at a time: about 7 chunk
+        # sizes above the result, bounded at 10.  A gather of all t copies
+        # at once, with its int64 index, would add 6 more.
+        cfg = small_config(gamma0_db=-5.0, ensemble_size=20_000, repeat_factor=3)
+        assert renewal_peak_chunks(cfg) < 10
 
     def test_entropy_drops_well_above_threshold(self):
         cfg = small_config(gamma0_db=4.0, ensemble_size=1024)
