@@ -224,6 +224,36 @@ def transmit(
     return y
 
 
+def draw_use(s, n_r, corr, sigma2_e, sigma2_n, rng):
+    """(receiver's channel estimate, received vector) of one use of s.
+
+    Correlated fading and N_r < N_t take the full route: draw H, correlate
+    it, perturb its estimate and transmit.  I.i.d. fading with N_r >= N_t
+    takes the Bartlett route, which serves every detector (MMSE and both
+    matched filters), since each reads the estimate only through
+    H_est^H H_est and H_est^H y.  H_est is CN(0, a), a = 1 + sigma_e^2, so
+    it is sqrt(a) Q L with L the Bartlett factor (`sample_bartlett`).  And
+    H = H_est / a + D with D ~ CN(0, sigma_e^2 / a) independent of H_est,
+    so y = H_est s / a + v with v ~ CN(0, (sigma_e^2 / a) ||s||^2
+    + 2 sigma_n^2).  The route returns sqrt(a) L and Q^H y in law:
+    sqrt(a) L s / a plus v's law on N_t components.  L has N_t rows, so a
+    detector that scales by 1/N_r (the simplified MF) takes N_r from the
+    caller.
+    """
+    if corr is not None or n_r < len(s):
+        h = sample_iid(len(s), n_r, rng)
+        if corr is not None:
+            h = apply_correlation(h, corr)
+        h_est = perturb_estimate(h, sigma2_e, rng)
+        return h_est, transmit(h, s, sigma2_n, rng)
+    a = 1.0 + sigma2_e
+    h_est = sample_bartlett(len(s), n_r, rng)
+    if sigma2_e > 0:
+        h_est *= np.sqrt(a)
+    leak = sigma2_e / a * np.vdot(s, s).real / 2
+    return h_est, transmit(h_est, s / a, sigma2_n + leak, rng)
+
+
 def snr_to_noise(gamma_db: float) -> float:
     """Per-real-component noise variance for an SNR per receive antenna (E_s = 1)."""
     return 1.0 / (2.0 * 10.0 ** (gamma_db / 10.0))

@@ -30,8 +30,9 @@ symbol prior is the product of its bits' two-point likelihoods, so it is
 exp of a linear form in one LLR per stream (the binary-image prior of
 Declercq & Fossorier, IEEE Trans. Commun. 55(4), 2007).  The priors are
 built that way from the same draws, equal to `mf_soft` followed by
-`symbol_priors` to rounding.  The MMSE and exact-MF kinds draw a full H,
-a batch of uses at a time, and take that detector path.
+`symbol_priors` to rounding.  The MMSE and exact-MF kinds draw and
+detect one use at a time through `detect.detect_each_use`, the sweeps'
+path.
 
 Only BPSK supports the zero-codeword trick: rotational symmetry fails for
 larger QAM alphabets, so those configurations are rejected.
@@ -48,8 +49,8 @@ from nbmimo.decoder import MSG_FLOOR, fwht
 from nbmimo.detect import (
     DETECTORS,
     VAR_FLOOR,
+    detect_each_use,
     mf_simplified_samples,
-    soft_detect,
     symbol_priors,
 )
 from nbmimo.galois import FieldTable, build_field
@@ -149,10 +150,10 @@ def _channel_prior_samples(
 
     Transmits the zero codeword: every antenna carries the label-0 point
     p0, so y = p0 g + n with g = sum_j h_j.  Each channel use yields n_t/q
-    coded-symbol priors.  MMSE and exact MF take a batch of uses on the
-    leading axis of one `soft_detect` call, with its fading and noise
-    drawn in single precision (the detector statistics are far above
-    float32 resolution).
+    coded-symbol priors.  MMSE and exact MF draw and detect a batch of
+    uses one at a time (`detect.detect_each_use`, the sweeps' path: the
+    Bartlett factor of H^H H when N_r >= N_t, H otherwise), then fold the
+    rows with `symbol_priors`.
 
     Simplified MF draws through `mf_simplified_samples` with s = p0 1, no
     correlation and no estimation error (A = B = I, sigma_e = 0).  Then
@@ -177,14 +178,10 @@ def _channel_prior_samples(
     sigma2_n = snr_to_noise(cfg.gamma0_db)
     point0 = const.points[0]
     uses_left = -(-n // per_use)
-    # A batch holds 2^21 complex64 channel entries (16 MB), or under
-    # simplified MF 2^21 / 2^m symbol prior entries' worth of uses (40 at
+    # A batch holds 2^21 / 2^m symbol prior entries' worth of uses (40 at
     # 200 x 200 and m = 8), whose priors go straight into `out`.  The
-    # batch size fixes the order of the draws.
-    per_use_size = field.size if cfg.detector == "mf-simplified" else cfg.n_r
-    max_batch = max(1, (1 << 21) // (cfg.n_t * per_use_size))
-    noise_scale = np.float32(np.sqrt(sigma2_n))
-    half = np.float32(np.sqrt(2) / 2)
+    # batch size fixes the order of the simplified-MF draws.
+    max_batch = max(1, (1 << 21) // (cfg.n_t * field.size))
     llr_scale = 2 * point0.real / max(sigma2_n / cfg.n_r, VAR_FLOOR)
     # Rows j < m of `signs` hold -b_j(x) and row m holds -1: [lambda, sum
     # of softplus(-lambda)] @ signs is the log prior.
@@ -195,8 +192,8 @@ def _channel_prior_samples(
         b = min(max_batch, uses_left)
         uses_left -= b
         take = min(b * per_use, n - done)
+        s = np.full((b, cfg.n_t), point0)
         if cfg.detector == "mf-simplified":
-            s = np.full((b, cfg.n_t), point0)
             s_hat = mf_simplified_samples(s, cfg.n_r, sigma2_n, rng)
             llr = np.empty((take, q + 1))
             np.multiply(s_hat.real.reshape(-1, q)[:take], llr_scale, out=llr[:, :q])
@@ -205,17 +202,8 @@ def _channel_prior_samples(
             np.exp(rows, out=rows)
             rows *= 1.0 / rows.sum(axis=1, keepdims=True)
         else:
-            shape = (b, cfg.n_r, cfg.n_t)
-            h = np.empty(shape, dtype=np.complex64)
-            h.real = rng.standard_normal(shape, dtype=np.float32) * half
-            h.imag = rng.standard_normal(shape, dtype=np.float32) * half
-            # All antennas send the identical zero-symbol point.
-            y = np.complex64(point0) * h.sum(axis=2)
-            if sigma2_n > 0:
-                y.real += noise_scale * rng.standard_normal((b, cfg.n_r), dtype=np.float32)
-                y.imag += noise_scale * rng.standard_normal((b, cfg.n_r), dtype=np.float32)
-            block = soft_detect(cfg.detector, h, y, sigma2_n, const)
-            out[done : done + take] = symbol_priors(block.reshape(-1, const.size), field)[:take]
+            rows = detect_each_use(cfg.detector, s, cfg.n_r, None, 0.0, sigma2_n, const, rng)
+            out[done : done + take] = symbol_priors(rows, field)[:take]
         done += take
     return out
 

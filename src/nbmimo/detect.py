@@ -14,9 +14,9 @@ Two detector families are provided:
   herk, a Cholesky factorization and a triangular inverse, about
   N_r N_t^2 / 2 + N_t^3 / 3 complex multiply-adds, where the N_r-side
   solve for W costs about 2 N_r^2 N_t + N_r^3 / 6.  Given the triangular
-  Bartlett factor of H^H H instead of H (`channel.sample_bartlett`, the
-  sweeps' i.i.d. uses), lauum forms the Gram in N_t^3 / 6, so a use
-  costs about N_t^3 / 2.
+  Bartlett factor of H^H H instead of H (`channel.sample_bartlett`, every
+  i.i.d. use that `detect_each_use` draws), lauum forms the Gram in
+  N_t^3 / 6, so a use costs about N_t^3 / 2.
 
 * Matched filter: W_k = H_k^H / (H_k^H H_k), or the large-array
   simplification W_k = H_k^H / N_r.  The post-detection interference plus
@@ -33,11 +33,11 @@ Two detector families are provided:
   not, with or without estimation error, from a sufficient statistic
   instead of H.
 
-`soft_detect` maps a detector kind (one of `DETECTORS`) to its per-stream
-likelihood rows; every consumer (coded and uncoded sweeps, density
-evolution) detects through it.  Every detector takes leading batch axes,
-h of shape (..., N_r, N_t) and y of shape (..., N_r), and gives the same
-bits as one call per channel use.
+`soft_detect` maps a detector kind (one of `DETECTORS`) to the per-stream
+likelihood rows of one channel use, h of shape (N_r, N_t) and y of shape
+(N_r,).  `detect_each_use` draws each use of a stack of transmit vectors
+(`channel.draw_use`) and detects it: the coded and uncoded sweeps and
+density evolution's MMSE and exact-MF priors all detect through it.
 
 Per-stream likelihood tables are aggregated into GF(2^m) symbol priors:
 the prior of a symbol is the product of the q per-stream likelihoods
@@ -52,9 +52,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import get_blas_funcs, get_lapack_funcs
+from scipy.linalg.blas import zherk
+from scipy.linalg.lapack import zlauum, zpotrf, zpotrs, ztrtri
 
-from nbmimo.channel import gray_constellation, snr_to_noise
+from nbmimo.channel import draw_use, gray_constellation, snr_to_noise
 from nbmimo.galois import FieldTable
 
 VAR_FLOOR = 1e-15
@@ -83,40 +84,31 @@ def mmse_soft(
 ) -> tuple[StreamEstimates, np.ndarray]:
     """MMSE estimates and the per-stream likelihood table Pr(s_hat_k | s).
 
-    Each use solves the N_t x N_t system G = H^H H + c I of the
-    push-through identity (module docstring) with one herk, potrf, potrs
-    and trtri: about 0.8 n^3 complex multiply-adds at N_r = N_t = n,
-    against 2.2 n^3 for W.  A square h that is zero above its diagonal and
-    real on it, a Bartlett factor L with H^H H = L^H L, takes lauum in
-    place of herk: about 0.5 n^3.  Batch axes run one use at a time.
-    `s_hat` has the dtype of h and y combined (complex64 takes the
-    single-precision routines), and `mu` and `var` its real counterpart.
+    h is one channel use, (N_r, N_t), taken in double precision.  The use
+    solves the N_t x N_t system G = H^H H + c I of the push-through
+    identity (module docstring) with one herk, potrf, potrs and trtri:
+    about 0.8 n^3 complex multiply-adds at N_r = N_t = n, against 2.2 n^3
+    for W.  A square h that is zero above its diagonal and real on it, a
+    Bartlett factor L with H^H H = L^H L, takes lauum in place of herk:
+    about 0.5 n^3.
 
     The likelihood is exp(-|s_hat_k - mu_k s|^2 / eps_k^2) normalized over
     the constellation; it is computed in the log domain with max
-    subtraction so the normalization is exact.  `var_clamped` reports a
-    clamp anywhere in the batch.
+    subtraction so the normalization is exact.
     """
     c = n0 / (es / n_t)
-    dtype = np.result_type(h, y, np.complex64)
-    routines = get_blas_funcs(("herk",), dtype=dtype) + get_lapack_funcs(
-        ("lauum", "potrf", "potrs", "trtri"), dtype=dtype
-    )
-    s_hat = np.empty(h.shape[:-2] + h.shape[-1:], dtype)
-    mu = np.empty(s_hat.shape, s_hat.real.dtype)
-    for use in np.ndindex(h.shape[:-2]):
-        s_hat[use], g_inv_diag = _mmse_nt_side(h[use], y[use], c, *routines)
-        mu[use] = 1 - c * g_inv_diag
+    s_hat, g_inv_diag = _mmse_nt_side(h, y, c)
+    mu = 1 - c * g_inv_diag
     var = (es / n_t) * (mu - mu**2)
     clamped = bool(np.any(var <= VAR_FLOOR))
     var = np.maximum(var, VAR_FLOOR)
-    diff = s_hat[..., None] - mu[..., None] * constellation.points
-    log_lik = -(np.abs(diff) ** 2) / var[..., None]
+    diff = s_hat[:, None] - mu[:, None] * constellation.points
+    log_lik = -(np.abs(diff) ** 2) / var[:, None]
     block = _normalize_rows(log_lik)
     return StreamEstimates(s_hat, mu, var, clamped), block
 
 
-def _mmse_nt_side(h, y, c, herk, lauum, potrf, potrs, trtri):
+def _mmse_nt_side(h, y, c):
     """(G^{-1} H^H y, diag G^{-1}) of one use, G = H^H H + c I.
 
     The routines factor the conjugate conj(G) = H^T conj(H) + c I, so that
@@ -133,18 +125,18 @@ def _mmse_nt_side(h, y, c, herk, lauum, potrf, potrs, trtri):
     a Cholesky factor.)  That triangle factors as U^H U, so M = U^H and
     the norms are those of the rows of U^{-1}.
     """
-    n = h.shape[-1]
+    n = h.shape[1]
     lower = not _is_bartlett_factor(h)
     if lower:
-        gram = herk(1.0, h.T, lower=1)
+        gram = zherk(1.0, h.T, lower=1)
     else:
-        gram, _ = lauum(h.T)
+        gram, _ = zlauum(h.T)
     gram[np.arange(n), np.arange(n)] += c
-    chol, info = potrf(gram, lower=lower, overwrite_a=1)
+    chol, info = zpotrf(gram, lower=lower, overwrite_a=1)
     if info > 0:
         raise np.linalg.LinAlgError("regularized Gram matrix is not positive definite")
-    x, _ = potrs(chol, y.conj() @ h, lower=lower)
-    inv, _ = trtri(chol, lower=lower, overwrite_c=1)
+    x, _ = zpotrs(chol, y.conj() @ h, lower=lower)
+    inv, _ = ztrtri(chol, lower=lower, overwrite_c=1)
     # The rows of inv.T are the columns of inv as (re, im) pairs, and its
     # pairs of columns are the rows of inv.
     pairs = inv.T.view(inv.real.dtype)
@@ -158,9 +150,9 @@ def _mmse_nt_side(h, y, c, herk, lauum, potrf, potrs, trtri):
 def _is_bartlett_factor(h) -> bool:
     """Square, zero above the diagonal and real on it.  A full H fails on
     its first row, at the cost of one short scan."""
-    n = h.shape[-1]
+    n = h.shape[1]
     return (
-        h.shape[-2] == n
+        h.shape[0] == n
         and not h[0, 1:].any()
         and not h.diagonal().imag.any()
         and not np.any(h, where=_above_diagonal(n))
@@ -186,10 +178,10 @@ def mf_detect(
     `n_r` is the system's receive antenna count, h's row count when None;
     a Bartlett factor of H^H H stands for H but has N_t rows.
     """
-    n_r = h.shape[-2] if n_r is None else n_r
-    proj = (h.conj().swapaxes(-1, -2) @ y[..., None])[..., 0]
+    n_r = h.shape[0] if n_r is None else n_r
+    proj = h.conj().T @ y
     if mode == "exact":
-        norms = np.real(np.sum(h.conj() * h, axis=-2))
+        norms = np.real(np.sum(h.conj() * h, axis=0))
         if np.any(norms == 0):
             raise ValueError("channel has a zero column")
         return proj / norms
@@ -212,28 +204,27 @@ def mf_sinr(
     Delta_k = (E_s/N_t) sum_{i != k} |W_k H_i|^2 + 2 sigma_n^2 |W_k|^2
     with W_k = H_k^H / (H_k^H H_k), that is
     (E_s/N_t) (sum_i |G_ki|^2 - G_kk^2) / G_kk^2 + 2 sigma_n^2 / G_kk with
-    G = H^H H.  A two-dimensional Bartlett factor L takes the upper
-    triangle T of conj(G) = conj(L^H L) from lauum, as `_mmse_nt_side`
-    does, in place of a full product: sum_i |G_ki|^2 is then the sum of
-    |T|^2 over row k and column k, with the diagonal counted once.
+    G = H^H H.  A Bartlett factor L takes the upper triangle T of
+    conj(G) = conj(L^H L) from lauum, as `_mmse_nt_side` does, in place of
+    a full product: sum_i |G_ki|^2 is then the sum of |T|^2 over row k and
+    column k, with the diagonal counted once.
     Simplified mode returns the precomputed constant
     Delta = 2 sigma_n^2 / N_r for every stream, with N_r the `n_r` given
     (h's row count when None).
     """
     if mode == "simplified":
-        n_r = h.shape[-2] if n_r is None else n_r
-        big_delta = np.full(h.shape[:-2] + h.shape[-1:], 2.0 * sigma2_n / n_r)
+        n_r = h.shape[0] if n_r is None else n_r
+        big_delta = np.full(h.shape[1], 2.0 * sigma2_n / n_r)
     elif mode == "exact":
-        if h.ndim == 2 and _is_bartlett_factor(h):
-            (lauum,) = get_lapack_funcs(("lauum",), (h,))
-            upper, _ = lauum(h.T)
+        if _is_bartlett_factor(h):
+            upper, _ = zlauum(h.T)
             gk = upper.diagonal().real
             power = np.abs(upper) ** 2
             interference = power.sum(axis=0) + power.sum(axis=1) - 2 * gk**2
         else:
-            g = h.conj().swapaxes(-1, -2) @ h
-            gk = np.real(np.diagonal(g, axis1=-2, axis2=-1))
-            interference = (np.abs(g) ** 2).sum(axis=-1) - gk**2
+            g = h.conj().T @ h
+            gk = np.real(np.diagonal(g))
+            interference = (np.abs(g) ** 2).sum(axis=1) - gk**2
         big_delta = (es / n_t) * interference / gk**2 + 2.0 * sigma2_n / gk
     else:
         raise ValueError(f"unknown matched-filter mode {mode!r}")
@@ -318,17 +309,17 @@ def soft_detect(
     constellation,
     n_r: int | None = None,
 ) -> np.ndarray:
-    """Per-stream likelihood rows Pr(s_hat_k | s) of one detector kind.
+    """Per-stream likelihood rows Pr(s_hat_k | s), shape (N_t, M), of one
+    channel use under one detector kind.
 
     `sigma2_n` is the noise variance per real component, and E_s = 1.
-    Every kind takes leading batch axes; the rows have shape (..., N_t, M).
     h may be a Bartlett factor of H^H H in place of H; `n_r` then names
     the system's N_r, which the simplified MF reads (h's row count when
     None).
     """
     if kind not in DETECTORS:
         raise ValueError(f"unknown detector {kind!r}")
-    n_t = h.shape[-1]
+    n_t = h.shape[1]
     if kind == "mmse":
         _, block = mmse_soft(h, y, 1.0, n_t, 2 * sigma2_n, constellation)
         return block
@@ -336,6 +327,17 @@ def soft_detect(
     s_hat = mf_detect(h, y, mode=mode, n_r=n_r)
     _, _, sigma2_k = mf_sinr(h, 1.0, n_t, sigma2_n, mode=mode, n_r=n_r)
     return mf_soft(s_hat, sigma2_k, constellation)
+
+
+def detect_each_use(kind, vectors, n_r, corr, sigma2_e, sigma2_n, constellation, rng):
+    """Stacked likelihood rows, shape (uses N_t, M), of the transmit vectors
+    (one per row), each use through its own channel draw
+    (`channel.draw_use`) and `soft_detect`."""
+    blocks = []
+    for s in vectors:
+        h_est, y = draw_use(s, n_r, corr, sigma2_e, sigma2_n, rng)
+        blocks.append(soft_detect(kind, h_est, y, sigma2_n, constellation, n_r))
+    return np.vstack(blocks)
 
 
 def symbol_priors(likelihoods: np.ndarray, field: FieldTable) -> np.ndarray:

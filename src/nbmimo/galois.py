@@ -100,28 +100,6 @@ class FieldTable:
         self.exp_table.setflags(write=False)
         self.log_table.setflags(write=False)
 
-    # -- arithmetic; all accept scalars or numpy arrays ------------------
-
-    @staticmethod
-    def add(a, b):
-        """Characteristic-2 addition (bitwise XOR)."""
-        return a ^ b
-
-    def mul(self, a, b):
-        return self.mul_table[a, b]
-
-    def inv(self, a):
-        if np.any(np.asarray(a) == 0):
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self.inv_table[a]
-
-    def div(self, a, b):
-        return self.mul_table[a, self.inv(b)]
-
-    def alpha_pow(self, i: int) -> int:
-        """i-th power of the primitive element."""
-        return int(self.exp_table[i % (self.size - 1)])
-
     # -- bit representation ----------------------------------------------
 
     def to_bits(self, x) -> np.ndarray:

@@ -6,6 +6,9 @@ trials are scheduled.  Each swept point accumulates frames until the
 configured number of frame errors is reached or the frame cap fires; the
 record says which rule stopped it.  Monte Carlo standard errors ride along
 with every estimate (frame-level variance for BER, binomial for FER).
+Every frame but a coded simplified-MF one draws and detects one channel
+use at a time through `detect.detect_each_use`, the path that density
+evolution's MMSE and exact-MF priors take too.
 """
 
 from __future__ import annotations
@@ -20,16 +23,11 @@ from scipy import stats
 from nbmimo import __version__
 from nbmimo.channel import (
     CorrelationSpec,
-    apply_correlation,
     ergodic_capacity,
     gray_constellation,
     map_codeword,
-    perturb_estimate,
-    sample_bartlett,
-    sample_iid,
     snr_to_noise,
     spectral_efficiency,
-    transmit,
 )
 from nbmimo.code import build_code_spec, lower_rate
 from nbmimo.complexity import flop_ratio, flops_mmse, flops_proposed
@@ -37,9 +35,9 @@ from nbmimo.config import ExperimentConfig
 from nbmimo.de import DeConfig, find_threshold
 from nbmimo.decoder import decode
 from nbmimo.detect import (
+    detect_each_use,
     mf_interference_samples,
     mf_simplified_samples,
-    soft_detect,
     symbol_priors,
 )
 from nbmimo.galois import build_field
@@ -91,46 +89,6 @@ def _stats_from_counts(counts: np.ndarray, bits_per_frame: int):
     return ber, ber_se, frame_errors, fer, fer_se, mean_per_fe
 
 
-def _detect_each_use(kind, cfg, corr, sigma2_e, sigma2_n, const, rng, vectors):
-    """Stacked likelihood rows of transmit vectors, each use through its own
-    channel draw (`_draw_use`), for every detector kind."""
-    blocks = []
-    for s_vec in vectors:
-        h_est, y = _draw_use(s_vec, cfg.n_r, corr, sigma2_e, sigma2_n, rng)
-        blocks.append(soft_detect(kind, h_est, y, sigma2_n, const, cfg.n_r))
-    return np.vstack(blocks)
-
-
-def _draw_use(s, n_r, corr, sigma2_e, sigma2_n, rng):
-    """(receiver's channel estimate, received vector) of one use of s.
-
-    Correlated fading and N_r < N_t take the full route: draw H, correlate
-    it, perturb its estimate and transmit.  I.i.d. fading with N_r >= N_t
-    takes the Bartlett route, which serves every detector here (MMSE and
-    both matched filters), since each reads the estimate only through
-    H_est^H H_est and H_est^H y.  H_est is CN(0, a), a = 1 + sigma_e^2, so
-    it is sqrt(a) Q L with L the Bartlett factor (`sample_bartlett`).  And
-    H = H_est / a + D with D ~ CN(0, sigma_e^2 / a) independent of H_est,
-    so y = H_est s / a + v with v ~ CN(0, (sigma_e^2 / a) ||s||^2
-    + 2 sigma_n^2).  The route returns sqrt(a) L and Q^H y in law:
-    sqrt(a) L s / a plus v's law on N_t components.  L has N_t rows, so a
-    detector that scales by 1/N_r (the simplified MF) takes N_r from the
-    caller.
-    """
-    if corr is not None or n_r < len(s):
-        h = sample_iid(len(s), n_r, rng)
-        if corr is not None:
-            h = apply_correlation(h, corr)
-        h_est = perturb_estimate(h, sigma2_e, rng)
-        return h_est, transmit(h, s, sigma2_n, rng)
-    a = 1.0 + sigma2_e
-    h_est = sample_bartlett(len(s), n_r, rng)
-    if sigma2_e > 0:
-        h_est *= np.sqrt(a)
-    leak = sigma2_e / a * np.vdot(s, s).real / 2
-    return h_est, transmit(h_est, s / a, sigma2_n + leak, rng)
-
-
 def _run_point(cfg: ExperimentConfig, spec, kind: str, sigma2_e: float,
                gamma_db: float) -> SweepSummary:
     """Frames at one (detector, estimation error, SNR) point until the stop
@@ -139,10 +97,11 @@ def _run_point(cfg: ExperimentConfig, spec, kind: str, sigma2_e: float,
     Frame f draws from `substream(seed, purpose, f)` alone, so a point's
     row does not depend on the other points of its sweep.  Coded
     simplified-MF frames draw their estimates through
-    `mf_simplified_samples`, without H; every other frame on i.i.d. fading
-    with N_r >= N_t, uncoded simplified MF included, draws the Bartlett
-    factor of H^H H per use (`_detect_each_use`), and the rest draw H per
-    use.  An uncoded frame is one channel use, hard-sliced per stream.
+    `mf_simplified_samples`, without H; every other frame draws and
+    detects one use at a time (`detect.detect_each_use`): the Bartlett
+    factor of H^H H on i.i.d. fading with N_r >= N_t, uncoded simplified
+    MF included, and H otherwise.  An uncoded frame is one channel use,
+    hard-sliced per stream.
     """
     const = gray_constellation(cfg.modulation, symbol_energy=1.0 / cfg.n_t)
     corr = None
@@ -169,8 +128,8 @@ def _run_point(cfg: ExperimentConfig, spec, kind: str, sigma2_e: float,
                 vectors, cfg.n_r, sigma2_n, rng, sigma2_e, corr, const
             ).reshape(-1, const.size)
         else:
-            rows = _detect_each_use(
-                kind, cfg, corr, sigma2_e, sigma2_n, const, rng, vectors
+            rows = detect_each_use(
+                kind, vectors, cfg.n_r, corr, sigma2_e, sigma2_n, const, rng
             )
         if spec is None:
             hard = rows.argmax(axis=1)

@@ -132,7 +132,7 @@ class TestCriterion2Field:
         for value, bits in table.items():
             assert tuple(f3.to_bits(value)) == bits
         # alpha^i sequence: 1, a, a^2, a^3 = (1,1,0), ... a^6 = (1,0,1)
-        assert [f3.alpha_pow(i) for i in range(7)] == [1, 2, 4, 3, 6, 7, 5]
+        assert f3.exp_table.tolist() == [1, 2, 4, 3, 6, 7, 5]
 
         f8 = build_field(8)
 

@@ -379,7 +379,7 @@ class TestRunners:
     def test_coded_simplified_mf_draws_no_channel_matrix(self, monkeypatch):
         # Coded simplified-MF frames come from mf_simplified_samples, with
         # correlation and estimation error.
-        import nbmimo.runner as runner
+        import nbmimo.channel as channel
 
         def no_channel(*args, **kwargs):
             raise AssertionError("drew a channel matrix")
@@ -390,7 +390,7 @@ class TestRunners:
         cfg.est_error_vars = [0.1]
         cfg.gamma_db = [10.0]
         cfg.max_frames = 3
-        monkeypatch.setattr(runner, "sample_iid", no_channel)
+        monkeypatch.setattr(channel, "sample_iid", no_channel)
         rows, _ = run_command(cfg)
         assert rows[0].frames == 3
 
@@ -400,11 +400,11 @@ class TestRunners:
         # estimation error: the Bartlett factor, or for coded simplified-MF
         # frames the sampler.  Correlated uses draw H, except coded
         # simplified-MF frames.
-        import nbmimo.runner as runner
+        import nbmimo.channel as channel
 
         drawn = []
         monkeypatch.setattr(
-            runner, "sample_iid", lambda *a: drawn.append(a) or sample_iid(*a)
+            channel, "sample_iid", lambda *a: drawn.append(a) or sample_iid(*a)
         )
         cfg = ExperimentConfig.from_ini(preset_text("ci-small-ber"))
         cfg.command = command

@@ -19,6 +19,7 @@ from nbmimo.de import (
 )
 from nbmimo.decoder import MSG_FLOOR, fwht
 from nbmimo.detect import (
+    detect_each_use,
     mf_detect,
     mf_simplified_samples,
     mf_sinr,
@@ -49,32 +50,6 @@ def small_config(**over):
     )
     base.update(over)
     return DeConfig(**base)
-
-
-def full_channel_priors(cfg, n, rng):
-    """Raw channel priors drawn through a full float32 H per use, in the
-    RNG order of the batched MMSE and exact-MF sampler."""
-    per_use = cfg.n_t // cfg.m
-    const = gray_constellation(2, symbol_energy=1 / cfg.n_t)
-    sigma2 = snr_to_noise(cfg.gamma0_db)
-    uses = -(-n // per_use)
-    max_batch = max(1, (1 << 21) // (cfg.n_t * cfg.n_r))
-    half = np.float32(np.sqrt(2) / 2)
-    noise_scale = np.float32(np.sqrt(sigma2))
-    blocks = []
-    while uses > 0:
-        b = min(max_batch, uses)
-        uses -= b
-        shape = (b, cfg.n_r, cfg.n_t)
-        h = np.empty(shape, dtype=np.complex64)
-        h.real = rng.standard_normal(shape, dtype=np.float32) * half
-        h.imag = rng.standard_normal(shape, dtype=np.float32) * half
-        y = np.complex64(const.points[0]) * h.sum(axis=2)
-        y.real += noise_scale * rng.standard_normal((b, cfg.n_r), dtype=np.float32)
-        y.imag += noise_scale * rng.standard_normal((b, cfg.n_r), dtype=np.float32)
-        blocks.append(soft_detect(cfg.detector, h, y, sigma2, const))
-    block = np.concatenate([b.reshape(-1, const.size) for b in blocks])
-    return symbol_priors(block, cfg.field)[:n]
 
 
 def mf_soft_symbol_priors(cfg, n, rng):
@@ -352,18 +327,29 @@ class TestMfSimplifiedSampler:
     @pytest.mark.parametrize("detector", ["mmse", "mf-exact"])
     def test_other_detectors_keep_full_channel_draws(self, detector):
         # Only simplified MF samples from the sufficient statistic; the
-        # other kinds draw float32 batches of a full H in this RNG order.
-        cfg = small_config(gamma0_db=-2.0, ensemble_size=300, detector=detector)
-        ens = de_initial_ensemble(cfg, np.random.default_rng(24))
-        want = full_channel_priors(cfg, cfg.ensemble_size, np.random.default_rng(24))
-        assert np.array_equal(ens, want)
+        # other kinds draw and detect each use as the sweeps do
+        # (`detect_each_use`), in this RNG order: the Bartlett factor at
+        # 16x16, and H at 16x12, where N_r < N_t.
+        for n_r in (16, 12):
+            cfg = small_config(
+                gamma0_db=-2.0, ensemble_size=300, detector=detector, n_r=n_r
+            )
+            ens = de_initial_ensemble(cfg, np.random.default_rng(24))
+            const = gray_constellation(2, symbol_energy=1 / cfg.n_t)
+            uses = -(-cfg.ensemble_size // (cfg.n_t // cfg.m))
+            rows = detect_each_use(
+                detector, np.full((uses, cfg.n_t), const.points[0]), n_r, None, 0.0,
+                snr_to_noise(cfg.gamma0_db), const, np.random.default_rng(24),
+            )
+            want = symbol_priors(rows, cfg.field)[: cfg.ensemble_size]
+            assert np.array_equal(ens, want)
 
     @pytest.mark.parametrize("detector", ["mmse", "mf-exact"])
     def test_full_channel_batch_matches_per_use_pipeline(self, detector):
-        # Two-sample KS tests, alpha = 0.001 each, of the float32 batched
-        # priors against one float64 H per use (sample_iid, transmit,
-        # soft_detect).  Each use gives n_t / m = 2 priors; taking one of
-        # them per use keeps the samples independent.
+        # Two-sample KS tests, alpha = 0.001 each, of the priors against one
+        # full H per use (sample_iid, transmit, soft_detect).  Each use
+        # gives n_t / m = 2 priors; taking one of them per use keeps the
+        # samples independent.
         uses = 3000
         cfg = small_config(gamma0_db=-2.0, detector=detector)
         per_use = cfg.n_t // cfg.m
