@@ -76,26 +76,6 @@ class SparseParityMatrix:
         a[self.edge_row, self.edge_col] = self.edge_coef
         return a
 
-    def is_regular(self, d_v: int, d_c: int) -> bool:
-        return bool(
-            np.all(self.col_weights == d_v) and np.all(self.row_weights == d_c)
-        )
-
-    def has_four_cycle(self) -> bool:
-        """True if any two columns meet in two or more rows."""
-        pairs = set()
-        by_col: dict[int, list[int]] = {}
-        for r, c in zip(self.edge_row, self.edge_col):
-            by_col.setdefault(int(c), []).append(int(r))
-        for rows in by_col.values():
-            rows = sorted(rows)
-            for i in range(len(rows)):
-                for j in range(i + 1, len(rows)):
-                    if (rows[i], rows[j]) in pairs:
-                        return True
-                    pairs.add((rows[i], rows[j]))
-        return False
-
 
 def syndrome(x, matrix: SparseParityMatrix, field: FieldTable) -> np.ndarray:
     """A x^T over GF(2^m); zero vector iff x is a codeword."""

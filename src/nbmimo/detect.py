@@ -111,26 +111,15 @@ def mmse_soft(
 def _mmse_nt_side(h, y, c):
     """(G^{-1} H^H y, diag G^{-1}) of one use, G = H^H H + c I.
 
-    The routines factor the conjugate conj(G) = H^T conj(H) + c I, so that
-    herk reads h.T, Fortran-ordered for a C-ordered h, without a copy.
-    With conj(G) = M M^H: conj(G)^{-1} conj(H^H y) = conj(G^{-1} H^H y),
-    and diag G^{-1} = diag conj(G)^{-1} is the squared column norms of
-    M^{-1} (potrf zeroes its other triangle).
-
-    A lower-triangular h with a real diagonal (a Bartlett factor,
-    `channel.sample_bartlett`) takes lauum in place of herk: h.T is then
-    upper triangular, and lauum forms the upper triangle of
-    h.T conj(h.T)^T = conj(G) on a plain copy of h, at about 2/3 of
-    herk's cost.  (lauum reads only the real part of the diagonal, as of
-    a Cholesky factor.)  That triangle factors as U^H U, so M = U^H and
-    the norms are those of the rows of U^{-1}.
+    The routines factor the conjugate conj(G) = H^T conj(H) + c I, one
+    triangle of it from `_conj_gram`.  With conj(G) = M M^H:
+    conj(G)^{-1} conj(H^H y) = conj(G^{-1} H^H y), and
+    diag G^{-1} = diag conj(G)^{-1} is the squared column norms of M^{-1}
+    (potrf zeroes its other triangle).  An upper triangle factors as
+    U^H U, so M = U^H and the norms are those of the rows of U^{-1}.
     """
     n = h.shape[1]
-    lower = not _is_bartlett_factor(h)
-    if lower:
-        gram = zherk(1.0, h.T, lower=1)
-    else:
-        gram, _ = zlauum(h.T)
+    gram, lower = _conj_gram(h)
     gram[np.arange(n), np.arange(n)] += c
     chol, info = zpotrf(gram, lower=lower, overwrite_a=1)
     if info > 0:
@@ -145,6 +134,24 @@ def _mmse_nt_side(h, y, c):
     else:
         norms = np.einsum("ji,ji->i", pairs, pairs).reshape(n, 2).sum(axis=1)
     return x.conj().ravel(), norms
+
+
+def _conj_gram(h):
+    """(triangle, lower): one triangle of conj(H^H H) = h.T conj(h), the
+    other triangle zero.
+
+    Any h takes the lower triangle from herk, which reads h.T,
+    Fortran-ordered for a C-ordered h, without a copy.  A lower-triangular
+    h with a real diagonal (a Bartlett factor, `channel.sample_bartlett`)
+    takes lauum instead: h.T is then upper triangular, and lauum forms the
+    upper triangle of h.T conj(h.T)^T on a plain copy of h, at about 2/3
+    of herk's cost.  (lauum reads only the real part of the diagonal, as
+    of a Cholesky factor.)
+    """
+    if _is_bartlett_factor(h):
+        upper, _ = zlauum(h.T)
+        return upper, False
+    return zherk(1.0, h.T, lower=1), True
 
 
 def _is_bartlett_factor(h) -> bool:
@@ -204,10 +211,9 @@ def mf_sinr(
     Delta_k = (E_s/N_t) sum_{i != k} |W_k H_i|^2 + 2 sigma_n^2 |W_k|^2
     with W_k = H_k^H / (H_k^H H_k), that is
     (E_s/N_t) (sum_i |G_ki|^2 - G_kk^2) / G_kk^2 + 2 sigma_n^2 / G_kk with
-    G = H^H H.  A Bartlett factor L takes the upper triangle T of
-    conj(G) = conj(L^H L) from lauum, as `_mmse_nt_side` does, in place of
-    a full product: sum_i |G_ki|^2 is then the sum of |T|^2 over row k and
-    column k, with the diagonal counted once.
+    G = H^H H.  With T the triangle of conj(G) from `_conj_gram` (lauum
+    on a Bartlett factor, herk otherwise), sum_i |G_ki|^2 is the sum of
+    |T|^2 over row k and column k, with the diagonal counted once.
     Simplified mode returns the precomputed constant
     Delta = 2 sigma_n^2 / N_r for every stream, with N_r the `n_r` given
     (h's row count when None).
@@ -216,15 +222,10 @@ def mf_sinr(
         n_r = h.shape[0] if n_r is None else n_r
         big_delta = np.full(h.shape[1], 2.0 * sigma2_n / n_r)
     elif mode == "exact":
-        if _is_bartlett_factor(h):
-            upper, _ = zlauum(h.T)
-            gk = upper.diagonal().real
-            power = np.abs(upper) ** 2
-            interference = power.sum(axis=0) + power.sum(axis=1) - 2 * gk**2
-        else:
-            g = h.conj().T @ h
-            gk = np.real(np.diagonal(g))
-            interference = (np.abs(g) ** 2).sum(axis=1) - gk**2
+        gram, _ = _conj_gram(h)
+        gk = gram.diagonal().real
+        power = np.abs(gram) ** 2
+        interference = power.sum(axis=0) + power.sum(axis=1) - 2 * gk**2
         big_delta = (es / n_t) * interference / gk**2 + 2.0 * sigma2_n / gk
     else:
         raise ValueError(f"unknown matched-filter mode {mode!r}")

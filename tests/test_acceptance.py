@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, special, stats
 
-from nbmimo.channel import ergodic_capacity, instantaneous_capacity, snr_to_noise
+from flop_audit import audit_proposed
+from nbmimo.channel import ergodic_capacity, instantaneous_capacity
 from nbmimo.code import SparseParityMatrix, build_code_spec, syndrome
-from nbmimo.complexity import audit_proposed, flop_ratio, flops_mmse, flops_proposed
+from nbmimo.complexity import flop_ratio, flops_mmse, flops_proposed
 from nbmimo.config import ExperimentConfig
 from nbmimo.de import DeConfig, ensemble_entropy, find_threshold
 from nbmimo.decoder import decode

@@ -7,7 +7,6 @@ import pytest
 
 from nbmimo.code import SparseParityMatrix, build_code_spec, syndrome
 from nbmimo.decoder import (
-    DecodeResult,
     DecoderError,
     _BpGraph,
     _hadamard,

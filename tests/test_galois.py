@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nbmimo.galois import FieldConstructionError, FieldTable, build_field
+from nbmimo.galois import FieldConstructionError, build_field
 
 
 def polymul_mod(a: int, b: int, poly: int, m: int) -> int:
