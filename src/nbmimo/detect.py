@@ -18,15 +18,17 @@ Two detector families are provided:
   i.i.d. use that `detect_each_use` draws), lauum forms the Gram in
   N_t^3 / 6, so a use costs about N_t^3 / 2.
 
-* Matched filter: W_k = H_k^H / (H_k^H H_k), or the large-array
-  simplification W_k = H_k^H / N_r.  The post-detection interference plus
-  noise power Delta_k feeds a Gaussian likelihood with variance
-  sigma_k^2 = Delta_k / 2; in simplified mode Delta_k reduces to the
-  stream-independent constant 2 sigma_n^2 / N_r.  Both modes read H only
-  through H^H H and H^H y, so they take a Bartlett factor in place of H as
-  MMSE does: exact mode then forms the Gram with lauum, and simplified
-  mode takes N_r from the caller, since the factor has N_t rows.  The
-  Gaussian model is an assumption about the interference-plus-noise term
+* Matched filter: exact weights W_k = H_k^H / (H_k^H H_k), or the paper's
+  large-array simplification W_k = H_k^H / N_r.  The post-detection
+  interference plus noise power Delta_k feeds a Gaussian likelihood with
+  variance sigma_k^2 = Delta_k / 2; for the simplified MF Delta_k reduces
+  to the stream-independent constant 2 sigma_n^2 / N_r.  `mf_detect` and
+  `mf_sinr` are the exact MF; `soft_detect` applies the simplified one
+  inline.  Both read H only through H^H H and H^H y, so they take a
+  Bartlett factor in place of H as MMSE does: the exact MF then forms the
+  Gram with lauum, and the simplified MF divides by the N_r that
+  `soft_detect` is given, since the factor has N_t rows.  The Gaussian
+  model is an assumption about the interference-plus-noise term
   s_hat_k - s_k itself (`mf_interference_samples` draws it); Delta_k,
   being a power, is positive and skewed.  `mf_simplified_samples` draws
   the simplified estimates, each channel use with its own H, correlated or
@@ -70,7 +72,6 @@ class StreamEstimates:
 
     s_hat: np.ndarray
     mu: np.ndarray
-    var: np.ndarray
     var_clamped: bool = False
 
 
@@ -105,7 +106,7 @@ def mmse_soft(
     diff = s_hat[:, None] - mu[:, None] * constellation.points
     log_lik = -(np.abs(diff) ** 2) / var[:, None]
     block = _normalize_rows(log_lik)
-    return StreamEstimates(s_hat, mu, var, clamped), block
+    return StreamEstimates(s_hat, mu, clamped), block
 
 
 def _mmse_nt_side(h, y, c):
@@ -177,60 +178,33 @@ def _normalize_rows(log_lik: np.ndarray) -> np.ndarray:
     return lik / lik.sum(axis=-1, keepdims=True)
 
 
-def mf_detect(
-    h: np.ndarray, y: np.ndarray, mode: str = "simplified", n_r: int | None = None
-) -> np.ndarray:
-    """Matched-filter estimates; `mode` picks the exact or 1/N_r weights.
-
-    `n_r` is the system's receive antenna count, h's row count when None;
-    a Bartlett factor of H^H H stands for H but has N_t rows.
-    """
-    n_r = h.shape[0] if n_r is None else n_r
-    proj = h.conj().T @ y
-    if mode == "exact":
-        norms = np.real(np.sum(h.conj() * h, axis=0))
-        if np.any(norms == 0):
-            raise ValueError("channel has a zero column")
-        return proj / norms
-    if mode == "simplified":
-        return proj / n_r
-    raise ValueError(f"unknown matched-filter mode {mode!r}")
+def mf_detect(h: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Exact matched-filter estimates H_k^H y / (H_k^H H_k)."""
+    norms = np.real(np.sum(h.conj() * h, axis=0))
+    if np.any(norms == 0):
+        raise ValueError("channel has a zero column")
+    return (h.conj().T @ y) / norms
 
 
-def mf_sinr(
-    h: np.ndarray,
-    es: float,
-    n_t: int,
-    sigma2_n: float,
-    mode: str = "simplified",
-    n_r: int | None = None,
-):
-    """(delta_k, Delta_k, sigma2_k), each an array over the streams of h.
+def mf_sinr(h: np.ndarray, sigma2_n: float):
+    """(delta_k, Delta_k, sigma2_k) of the exact MF, each an array over the
+    streams of h, with E_s = 1 and N_t the column count of h.
 
-    Exact mode evaluates
+    Evaluates
     Delta_k = (E_s/N_t) sum_{i != k} |W_k H_i|^2 + 2 sigma_n^2 |W_k|^2
     with W_k = H_k^H / (H_k^H H_k), that is
     (E_s/N_t) (sum_i |G_ki|^2 - G_kk^2) / G_kk^2 + 2 sigma_n^2 / G_kk with
     G = H^H H.  With T the triangle of conj(G) from `_conj_gram` (lauum
     on a Bartlett factor, herk otherwise), sum_i |G_ki|^2 is the sum of
     |T|^2 over row k and column k, with the diagonal counted once.
-    Simplified mode returns the precomputed constant
-    Delta = 2 sigma_n^2 / N_r for every stream, with N_r the `n_r` given
-    (h's row count when None).
     """
-    if mode == "simplified":
-        n_r = h.shape[0] if n_r is None else n_r
-        big_delta = np.full(h.shape[1], 2.0 * sigma2_n / n_r)
-    elif mode == "exact":
-        gram, _ = _conj_gram(h)
-        gk = gram.diagonal().real
-        power = np.abs(gram) ** 2
-        interference = power.sum(axis=0) + power.sum(axis=1) - 2 * gk**2
-        big_delta = (es / n_t) * interference / gk**2 + 2.0 * sigma2_n / gk
-    else:
-        raise ValueError(f"unknown matched-filter mode {mode!r}")
-    delta = (es / n_t) / big_delta
-    return delta, big_delta, big_delta / 2.0
+    es_per_stream = 1.0 / h.shape[1]
+    gram, _ = _conj_gram(h)
+    gk = gram.diagonal().real
+    power = np.abs(gram) ** 2
+    interference = power.sum(axis=0) + power.sum(axis=1) - 2 * gk**2
+    big_delta = es_per_stream * interference / gk**2 + 2.0 * sigma2_n / gk
+    return es_per_stream / big_delta, big_delta, big_delta / 2.0
 
 
 def mf_soft(s_hat: np.ndarray, sigma2_k, constellation) -> np.ndarray:
@@ -298,7 +272,7 @@ def mf_simplified_samples(
     s_hat = est / n_r
     if constellation is None:
         return s_hat
-    # mf_sinr's simplified-mode constant Delta / 2.
+    # The simplified MF's constant Delta / 2, as in `soft_detect`.
     return mf_soft(s_hat, sigma2_n / n_r, constellation)
 
 
@@ -308,26 +282,26 @@ def soft_detect(
     y: np.ndarray,
     sigma2_n: float,
     constellation,
-    n_r: int | None = None,
+    n_r: int,
 ) -> np.ndarray:
     """Per-stream likelihood rows Pr(s_hat_k | s), shape (N_t, M), of one
     channel use under one detector kind.
 
     `sigma2_n` is the noise variance per real component, and E_s = 1.
-    h may be a Bartlett factor of H^H H in place of H; `n_r` then names
-    the system's N_r, which the simplified MF reads (h's row count when
-    None).
+    h may be a Bartlett factor of H^H H in place of H, so `n_r` names the
+    system's N_r, by which the simplified MF divides its estimates and
+    its constant variance sigma_n^2 / N_r.
     """
-    if kind not in DETECTORS:
-        raise ValueError(f"unknown detector {kind!r}")
-    n_t = h.shape[1]
     if kind == "mmse":
-        _, block = mmse_soft(h, y, 1.0, n_t, 2 * sigma2_n, constellation)
+        _, block = mmse_soft(h, y, 1.0, h.shape[1], 2 * sigma2_n, constellation)
         return block
-    mode = kind.removeprefix("mf-")
-    s_hat = mf_detect(h, y, mode=mode, n_r=n_r)
-    _, _, sigma2_k = mf_sinr(h, 1.0, n_t, sigma2_n, mode=mode, n_r=n_r)
-    return mf_soft(s_hat, sigma2_k, constellation)
+    if kind == "mf-exact":
+        s_hat = mf_detect(h, y)
+        _, _, sigma2_k = mf_sinr(h, sigma2_n)
+        return mf_soft(s_hat, sigma2_k, constellation)
+    if kind == "mf-simplified":
+        return mf_soft((h.conj().T @ y) / n_r, sigma2_n / n_r, constellation)
+    raise ValueError(f"unknown detector {kind!r}")
 
 
 def detect_each_use(kind, vectors, n_r, corr, sigma2_e, sigma2_n, constellation, rng):

@@ -27,59 +27,29 @@ DEFAULT_PRIMITIVE_POLY = {
 
 
 class FieldConstructionError(ValueError):
-    """Raised when a field cannot be built from the given polynomial."""
+    """Raised for an extension degree outside [2, 8]."""
 
 
 class FieldTable:
-    """Arithmetic over GF(2^m), 2 <= m <= 8.
+    """Arithmetic over GF(2^m), 2 <= m <= 8, reduced modulo the built-in
+    primitive polynomial `DEFAULT_PRIMITIVE_POLY[m]` (kept as `poly`)."""
 
-    Parameters
-    ----------
-    m : int
-        Extension degree; the field has 2^m elements.
-    poly : int or None
-        Primitive polynomial as a bit mask (bit i = coefficient of x^i,
-        bit m must be set).  Defaults to a built-in polynomial per m.
-
-    Construction verifies primitivity: the powers of the generator must
-    enumerate all 2^m - 1 nonzero elements before returning to 1.
-    """
-
-    def __init__(self, m: int, poly: int | None = None):
+    def __init__(self, m: int):
         if not 2 <= m <= 8:
             raise FieldConstructionError(f"extension degree must be in [2, 8], got {m}")
-        if poly is None:
-            poly = DEFAULT_PRIMITIVE_POLY[m]
-        if poly >> m != 1:
-            raise FieldConstructionError(
-                f"polynomial 0x{poly:x} does not have degree {m}"
-            )
-
         self.m = m
-        self.poly = poly
-        self.size = 1 << m
-        q = self.size
+        self.poly = poly = DEFAULT_PRIMITIVE_POLY[m]
+        self.size = q = 1 << m
 
         exp = np.zeros(q - 1, dtype=np.int64)
         log = np.full(q, -1, dtype=np.int64)
         x = 1
         for i in range(q - 1):
-            if log[x] != -1:
-                raise FieldConstructionError(
-                    f"0x{poly:x} is not primitive of degree {m}: generator has "
-                    f"multiplicative order {i} < {q - 1}"
-                )
             exp[i] = x
             log[x] = i
             x <<= 1
             if x & q:
                 x ^= poly
-        if x != 1:
-            # The orbit did not close on 1, so some product escaped the unit
-            # group: the polynomial is reducible.
-            raise FieldConstructionError(
-                f"0x{poly:x} is reducible over GF(2); cannot build GF(2^{m})"
-            )
 
         self.exp_table = exp
         self.log_table = log
@@ -122,6 +92,6 @@ class FieldTable:
         return f"FieldTable(m={self.m}, poly=0x{self.poly:x})"
 
 
-def build_field(m: int, poly: int | None = None) -> FieldTable:
-    """Build GF(2^m) tables; raises FieldConstructionError for bad polynomials."""
-    return FieldTable(m, poly)
+def build_field(m: int) -> FieldTable:
+    """Build GF(2^m) tables; raises FieldConstructionError unless 2 <= m <= 8."""
+    return FieldTable(m)

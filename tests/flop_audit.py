@@ -4,7 +4,7 @@ Runs the detection and soft-output steps of `nbmimo.complexity.flops_proposed`
 one primitive at a time and charges each executed operation its cost under
 the module's convention, so the tests can check the closed forms against
 operations actually executed and the replayed numbers against
-`detect.mf_detect`.
+`detect.soft_detect`'s simplified MF.
 """
 
 import numpy as np

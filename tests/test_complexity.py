@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from flop_audit import audit_proposed
+from flop_audit import SIGMA2_N, audit_proposed
+from nbmimo.channel import Constellation
 from nbmimo.complexity import flop_ratio, flops_mmse, flops_proposed
-from nbmimo.detect import mf_detect
+from nbmimo.detect import soft_detect
 
 
 class TestFormulas:
@@ -61,5 +62,13 @@ class TestAudit:
         _, _, s_hat, rows = audit_proposed(8, 2, rng=np.random.default_rng(3))
         h = (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))) / np.sqrt(2)
         y = (rng.standard_normal(8) + 1j * rng.standard_normal(8)) / np.sqrt(2)
-        assert np.allclose(s_hat, mf_detect(h, y, mode="simplified"), atol=1e-12)
+        points = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) / np.sqrt(2)
+        assert np.allclose(s_hat, (h.conj().T @ y) / 8, atol=1e-12)
         assert np.all(rows > 0)
+        # Normalized, the replayed rows are the production detector's.
+        assert np.allclose(
+            rows / rows.sum(axis=1, keepdims=True),
+            soft_detect("mf-simplified", h, y, SIGMA2_N, Constellation(points, 1), 8),
+            rtol=1e-9,
+            atol=0,
+        )

@@ -20,9 +20,7 @@ from nbmimo.de import (
 from nbmimo.decoder import MSG_FLOOR, fwht
 from nbmimo.detect import (
     detect_each_use,
-    mf_detect,
     mf_simplified_samples,
-    mf_sinr,
     mf_soft,
     soft_detect,
     symbol_priors,
@@ -79,7 +77,7 @@ def per_use_priors(cfg, uses, rng):
     for _ in range(uses):
         h = sample_iid(cfg.n_t, cfg.n_r, rng)
         y = transmit(h, s, sigma2, rng)
-        blocks.append(soft_detect(cfg.detector, h, y, sigma2, const))
+        blocks.append(soft_detect(cfg.detector, h, y, sigma2, const, cfg.n_r))
     return symbol_priors(np.concatenate(blocks), cfg.field)
 
 
@@ -152,7 +150,7 @@ def full_channel_mf_estimates(n_t, n_r, sigma2, uses, rng):
     out = np.empty((uses, n_t), dtype=complex)
     for i in range(uses):
         h = sample_iid(n_t, n_r, rng)
-        out[i] = mf_detect(h, transmit(h, s, sigma2, rng), mode="simplified")
+        out[i] = (h.conj().T @ transmit(h, s, sigma2, rng)) / n_r
     return out
 
 
@@ -239,9 +237,7 @@ class TestInitialEnsemble:
         for _ in range(300):
             h = sample_iid(cfg.n_t, cfg.n_r, rng)
             y = transmit(h, s, sigma2, rng)
-            s_hat = mf_detect(h, y, mode="simplified")
-            _, _, s2k = mf_sinr(h, 1.0, cfg.n_t, sigma2, mode="simplified")
-            block = mf_soft(s_hat, s2k, const)
+            block = mf_soft((h.conj().T @ y) / cfg.n_r, sigma2 / cfg.n_r, const)
             vals.append(symbol_priors(block, cfg.field)[:, 0])
         manual = np.concatenate(vals)
         se = np.hypot(
@@ -305,7 +301,7 @@ class TestMfSimplifiedSampler:
     @pytest.mark.parametrize("n_t,n_r", [(16, 16), (8, 2)])
     def test_matches_full_channel_pipeline(self, n_t, n_r):
         # Two-sample KS tests, alpha = 0.001 each, against estimates drawn
-        # through a full H (sample_iid, transmit, mf_detect).  One value per
+        # through a full H (sample_iid, transmit, H^H y / N_r).  One value per
         # channel use keeps the samples independent: the streams of a use
         # are correlated, and pooling them would make the test
         # anti-conservative.  The stream difference probes the joint law;

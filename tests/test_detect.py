@@ -223,52 +223,60 @@ class TestMfDetect:
         h = np.array([[3.0, 0.0], [0.0, 2.0]], dtype=np.complex128)
         s = c.points[[1, 2]]
         y = h @ s
-        got = mf_detect(h, y, mode="exact")
+        got = mf_detect(h, y)
         assert np.allclose(got, s, atol=1e-12)
 
     def test_simplified_is_exact_times_positive_scale(self):
+        # The simplified rows are those of the exact estimates scaled by
+        # |H_k|^2 / N_r, under the constant variance sigma_n^2 / N_r.
         rng = np.random.default_rng(4)
         h = sample_iid(16, 16, rng)
         y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        exact = mf_detect(h, y, mode="exact")
-        simple = mf_detect(h, y, mode="simplified")
+        c = gray_constellation(4, symbol_energy=1 / 16)
+        exact = mf_detect(h, y)
         norms = np.real(np.sum(h.conj() * h, axis=0))
-        assert np.allclose(simple * 16 / norms, exact, atol=1e-12)
+        simple = soft_detect("mf-simplified", h, y, 1.0, c, 16)
+        want = mf_soft(exact * norms / 16, 1.0 / 16, c)
+        assert np.allclose(simple, want, rtol=1e-12, atol=0)
 
     def test_single_stream_matches_mmse_direction(self):
         rng = np.random.default_rng(5)
         h = sample_iid(1, 8, rng)
         y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        mf = mf_detect(h, y, mode="exact")
+        mf = mf_detect(h, y)
         w = _receive_side_weights(h, 0.1)
         mmse = w.conj().T @ y
         ratio = mf[0] / mmse[0]
         assert abs(ratio.imag) < 1e-10
         assert ratio.real > 0
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            mf_detect(np.eye(2, dtype=np.complex128), np.zeros(2), mode="zf")
-
 
 class TestMfSinr:
     def test_orthogonal_equal_norm_columns_force_simplification(self):
         # |H_i|^2 = N_r for all i and zero cross terms: the exact Delta
-        # equals the simplified constant.
+        # equals the simplified constant 2 sigma_n^2 / N_r, and the exact
+        # rows equal the simplified ones.
         n = 4
         h = np.sqrt(n / 2) * (np.eye(n) + 1j * np.eye(n))
         sigma2 = 0.3
-        _, exact, _ = mf_sinr(h, es=1.0, n_t=n, sigma2_n=sigma2, mode="exact")
-        _, simple, _ = mf_sinr(h, es=1.0, n_t=n, sigma2_n=sigma2, mode="simplified")
-        assert np.allclose(exact, simple, atol=1e-12)
-        assert np.allclose(simple, 2 * sigma2 / n)
+        _, exact, _ = mf_sinr(h, sigma2)
+        assert np.allclose(exact, 2 * sigma2 / n, atol=1e-12)
+        rng = np.random.default_rng(8)
+        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        c = gray_constellation(4, symbol_energy=1 / n)
+        assert np.allclose(
+            soft_detect("mf-exact", h, y, sigma2, c, n),
+            soft_detect("mf-simplified", h, y, sigma2, c, n),
+            rtol=1e-12,
+            atol=0,
+        )
 
     def test_exact_matches_bruteforce_sum(self):
         rng = np.random.default_rng(6)
         n = 8
         h = sample_iid(n, n, rng)
         es, sigma2 = 1.0, 0.2
-        _, got, sk = mf_sinr(h, es, n, sigma2, mode="exact")
+        _, got, sk = mf_sinr(h, sigma2)
         assert got.shape == sk.shape == (n,)
         for k in [0, 3, 7]:
             wk = h[:, k].conj() / np.real(h[:, k].conj() @ h[:, k])
@@ -284,7 +292,7 @@ class TestMfSinr:
         rng = np.random.default_rng(7)
         h = sample_iid(6, 6, rng)
         es, n_t, sigma2 = 1.0, 6, 0.1
-        delta, all_delta, sk = mf_sinr(h, es, n_t, sigma2, mode="exact")
+        delta, all_delta, sk = mf_sinr(h, sigma2)
         for k in range(6):
             col = h[:, k]
             gk = float(np.real(col.conj() @ col))
@@ -295,12 +303,22 @@ class TestMfSinr:
             assert sk[k] == all_delta[k] / 2
 
     def test_simplified_is_constant_over_streams(self):
-        h = np.empty((5, 7), dtype=np.complex128)
-        delta, big_delta, sk = mf_sinr(h, 1.0, 7, 0.2, mode="simplified")
-        assert big_delta.shape == (7,)
-        assert np.all(big_delta == 2 * 0.2 / 5)
-        assert np.all(sk == big_delta / 2)
-        assert np.all(delta == (1.0 / 7) / big_delta)
+        # Columns of unequal norms with the same projection H_k^H y = 1:
+        # every stream gets the same row, the BPSK likelihood of
+        # s_hat = 1 / N_r under sigma_k^2 = sigma_n^2 / N_r, whose log
+        # ratio is 2 s_hat p / sigma_k^2.
+        rng = np.random.default_rng(9)
+        h = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
+        h[0] = 1.0
+        y = np.array([1.0, 0, 0, 0, 0], dtype=np.complex128)
+        c = gray_constellation(2, symbol_energy=1 / 7)
+        rows = soft_detect("mf-simplified", h, y, 0.2, c, 5)
+        assert rows.shape == (7, 2)
+        assert np.all(rows == rows[0])
+        p = c.points[0].real
+        assert np.log(rows[0, 0] / rows[0, 1]) == pytest.approx(
+            2 * (1 / 5) * p / (0.2 / 5), rel=1e-9
+        )
 
     @pytest.mark.parametrize(
         "draw,factor",
@@ -324,16 +342,12 @@ class TestMfSinr:
         )
         h, _, sigma2, _ = draw()
         n_t = h.shape[-1]
-        _, got, _ = mf_sinr(h, 1.0, n_t, sigma2, mode="exact")
+        _, got, _ = mf_sinr(h, sigma2)
         g = h.conj().T @ h
         gk = np.real(np.diag(g))
         want = (1.0 / n_t) * ((np.abs(g) ** 2).sum(axis=1) - gk**2) / gk**2 + 2 * sigma2 / gk
         assert np.allclose(got, want, rtol=1e-12, atol=0)
         assert bool(calls) == factor
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            mf_sinr(np.eye(2, dtype=np.complex128), 1.0, 2, 0.1, mode="zf")
 
     @pytest.mark.parametrize(
         "n_t,n_r,modulation,stream,gamma_db",
@@ -362,7 +376,7 @@ class TestMfSinr:
             h = sample_iid(n_t, n_r, rng)
             s = c.points[rng.integers(0, modulation, size=n_t)]
             y = transmit(h, s, sigma2, rng)
-            want[i] = mf_detect(h, y, mode="exact")[stream] - s[stream]
+            want[i] = mf_detect(h, y)[stream] - s[stream]
         for part in (np.real, np.imag, np.abs):
             p = stats.ks_2samp(part(got), part(want)).pvalue
             assert p > 0.001, f"{part.__name__}: KS p = {p:.3g}"
@@ -401,12 +415,12 @@ def qpsk_vector(n_t):
 def pipeline_mf_simplified(s, n_r, sigma2_n, sigma2_e, corr, uses, rng):
     """Simplified-MF estimates of s through a drawn H per use, in the coded
     sweep's order: sample_iid, apply_correlation, perturb_estimate,
-    transmit, mf_detect on the estimate."""
+    transmit, H_est^H y / N_r."""
     out = np.empty((uses, len(s)), dtype=complex)
     for i in range(uses):
         h = apply_correlation(sample_iid(len(s), n_r, rng), corr)
         h_est = perturb_estimate(h, sigma2_e, rng)
-        out[i] = mf_detect(h_est, transmit(h, s, sigma2_n, rng), mode="simplified")
+        out[i] = (h_est.conj().T @ transmit(h, s, sigma2_n, rng)) / n_r
     return out
 
 
@@ -476,7 +490,7 @@ class TestMfSimplifiedSamples:
             assert abs(power.mean() - want) < 4 * se, (name, power.mean(), want, se)
 
     def test_rows_are_mf_soft_of_the_estimates(self):
-        # The likelihood rows use mf_sinr's simplified-mode constant
+        # The likelihood rows use the simplified MF's constant
         # sigma_n^2 / N_r, on the same draws.
         corr = CorrelationSpec(0.3, 0.3, 8, 6)
         s = np.tile(qpsk_vector(8), (5, 1))
@@ -486,9 +500,8 @@ class TestMfSimplifiedSamples:
             s, 6, sigma2, np.random.default_rng(94), 0.1, corr, constellation=const
         )
         est = mf_simplified_samples(s, 6, sigma2, np.random.default_rng(94), 0.1, corr)
-        _, _, sigma2_k = mf_sinr(np.ones((6, 8)), 1.0, 8, sigma2, mode="simplified")
         assert rows.shape == (5, 8, 4)
-        assert np.array_equal(rows, mf_soft(est, sigma2_k, const))
+        assert np.array_equal(rows, mf_soft(est, sigma2 / 6, const))
 
 
 # (kind, n_t, n_r, modulation, sigma2_e) of the Bartlett-route law checks;
@@ -566,9 +579,10 @@ class TestBartlettRoute:
                 "s_hat": np.array([e.s_hat for e in ests]),
                 "mu": np.array([e.mu for e in ests]),
             }
-        mode = kind.removeprefix("mf-")
-        s_hat = np.array([mf_detect(hu, yu, mode, n_r) for hu, yu in zip(h, y)])
-        sigma2_k = np.array([mf_sinr(hu, 1.0, n_t, sigma2, mode, n_r)[2] for hu in h])
+        if kind == "mf-simplified":
+            return {"s_hat": np.array([(hu.conj().T @ yu) / n_r for hu, yu in zip(h, y)])}
+        s_hat = np.array([mf_detect(hu, yu) for hu, yu in zip(h, y)])
+        sigma2_k = np.array([mf_sinr(hu, sigma2)[2] for hu in h])
         return {"s_hat": s_hat, "sigma2": sigma2_k}
 
     @pytest.mark.parametrize("sigma2_e", [0.0, 0.1])
@@ -627,13 +641,14 @@ class TestBatchAxis:
 
     def test_mf_detect_2d_matches_transpose_product(self):
         h, y, _, _ = _full_use(21, 8, 12, 2)
-        assert np.array_equal(mf_detect(h, y, mode="simplified"), (h.conj().T @ y) / 12)
+        want = [h[:, k].conj() @ y / np.real(h[:, k].conj() @ h[:, k]) for k in range(8)]
+        assert np.allclose(mf_detect(h, y), want, rtol=1e-12, atol=0)
 
     def test_mf_soft(self):
         uses = [_full_use(22 + i, 8, 8, 4) for i in range(5)]
         c = uses[0][3]
-        s_hat = np.array([mf_detect(h, y, mode="exact") for h, y, _, _ in uses])
-        sk = np.array([mf_sinr(h, 1.0, 8, s2, mode="exact")[2] for h, _, s2, _ in uses])
+        s_hat = np.array([mf_detect(h, y) for h, y, _, _ in uses])
+        sk = np.array([mf_sinr(h, s2)[2] for h, _, s2, _ in uses])
         rows = mf_soft(s_hat, sk, c)
         assert rows.shape == (5, 8, 4)
         for i in range(5):
@@ -643,21 +658,22 @@ class TestBatchAxis:
 class TestSoftDetect:
     @pytest.mark.parametrize("kind", DETECTORS)
     def test_equals_direct_composition(self, kind):
-        h, y, sigma2, c = _full_use(24, 8, 10, 4)
-        es = 1.0
-        if kind == "mmse":
-            _, want = mmse_soft(h, y, es, 8, 2 * sigma2, c)
-        else:
-            mode = {"mf-exact": "exact", "mf-simplified": "simplified"}[kind]
-            _, _, sk = mf_sinr(h, es, 8, sigma2, mode=mode)
-            want = mf_soft(mf_detect(h, y, mode=mode), sk, c)
-        assert np.array_equal(soft_detect(kind, h, y, sigma2, c), want)
+        # On a full H and on a Bartlett factor, whose 8 rows are not the
+        # system's N_r = 10.
+        for h, y, sigma2, c in (_full_use(24, 8, 10, 4), _bartlett_use(26, 8, 10, 4)):
+            if kind == "mmse":
+                _, want = mmse_soft(h, y, 1.0, 8, 2 * sigma2, c)
+            elif kind == "mf-exact":
+                want = mf_soft(mf_detect(h, y), mf_sinr(h, sigma2)[2], c)
+            else:
+                want = mf_soft((h.conj().T @ y) / 10, sigma2 / 10, c)
+            assert np.array_equal(soft_detect(kind, h, y, sigma2, c, 10), want)
 
     @pytest.mark.parametrize("kind", ["mf_exact", "exact"])
     def test_unknown_kind_rejected(self, kind):
         h, y, sigma2, c = _full_use(25, 4, 4, 2)
         with pytest.raises(ValueError, match=f"unknown detector '{kind}'"):
-            soft_detect(kind, h, y, sigma2, c)
+            soft_detect(kind, h, y, sigma2, c, 4)
 
 
 def gathered_symbol_priors(likelihoods, field):
@@ -767,9 +783,7 @@ class TestLowSnrAgreement:
             s = c.points[truth]
             y = transmit(h, s, sigma2, rng)
             _, mmse_block = mmse_soft(h, y, 1.0, n, 2 * sigma2, c)
-            shat = mf_detect(h, y, mode="simplified")
-            _, _, s2k = mf_sinr(h, 1.0, n, sigma2, mode="simplified")
-            mf_block = mf_soft(shat, s2k, c)
+            mf_block = mf_soft((h.conj().T @ y) / n, sigma2 / n, c)
             counts_mmse.append(np.sum(mmse_block.argmax(1) != truth))
             counts_mf.append(np.sum(mf_block.argmax(1) != truth))
         frames = len(counts_mmse)

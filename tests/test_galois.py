@@ -37,24 +37,16 @@ class TestConstruction:
         # alpha^7 = alpha^6 alpha = alpha^0 = 1
         assert f.mul_table[f.exp_table[6], f.exp_table[1]] == f.exp_table[0] == 1
 
-    def test_gf256_default_has_255_distinct_powers(self):
-        f = build_field(8)
-        assert len(set(f.exp_table.tolist())) == 255
-        assert 0 not in set(f.exp_table.tolist())
-
-    def test_reducible_poly_rejected(self):
-        # x^3 + 1 = (x + 1)(x^2 + x + 1) is reducible.
-        with pytest.raises(FieldConstructionError, match="0x9"):
-            build_field(3, 0b1001)
-
-    def test_irreducible_but_nonprimitive_rejected(self):
-        # x^4 + x^3 + x^2 + x + 1 is irreducible but its root has order 5.
-        with pytest.raises(FieldConstructionError, match="primitive"):
-            build_field(4, 0b11111)
-
-    def test_degree_mismatch_rejected(self):
-        with pytest.raises(FieldConstructionError):
-            build_field(4, 0b1011)
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_built_in_poly_is_primitive(self, m):
+        # alpha = x has 2^m - 1 distinct nonzero powers and alpha^(2^m - 1)
+        # = 1 by the bit-level oracle: every nonzero residue is a power of
+        # one unit, so the quotient ring is a field and alpha generates it.
+        f = build_field(m)
+        powers = set(f.exp_table.tolist())
+        assert len(powers) == f.size - 1
+        assert 0 not in powers
+        assert polymul_mod(int(f.exp_table[-1]), 0b10, f.poly, m) == 1
 
     def test_m_out_of_range(self):
         with pytest.raises(FieldConstructionError):
