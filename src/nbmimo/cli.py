@@ -53,6 +53,9 @@ def load_config(args) -> ExperimentConfig:
         )
     if args.seed is not None:
         cfg.master_seed = args.seed
+        errors = cfg.validate()
+        if errors:
+            raise ConfigError(errors)
     return cfg
 
 

@@ -153,6 +153,9 @@ class ExperimentConfig:
             errors.append(f"modulation must be 2, 4, or 16, got {self.modulation}")
         if self.n_t < 1 or self.n_r < 1:
             errors.append("antenna counts must be positive")
+        for name in ("master_seed", "construction_seed"):
+            if getattr(self, name) < 0:
+                errors.append(f"{name} must be >= 0, got {getattr(self, name)}")
         for kind in self.detectors:
             if kind not in DETECTORS:
                 errors.append(f"unknown detector {kind!r}")

@@ -605,6 +605,32 @@ class TestCliSurface:
             assert f" entropy={float(row['entropy']):.3e} " in line
             assert line.endswith(f" decoded={row['decoded']}")
 
+    @pytest.mark.parametrize(
+        "ini,flags,error",
+        [
+            (None, ["--seed", "-1"], "master_seed must be >= 0, got -1"),
+            ("[run]\nmaster_seed = -1\n", [], "master_seed must be >= 0, got -1"),
+            ("[code]\nconstruction_seed = -1\n", [],
+             "construction_seed must be >= 0, got -1"),
+        ],
+        ids=["seed-flag", "master-seed-key", "construction-seed-key"],
+    )
+    def test_negative_seed_exits_2_with_config_error(
+        self, ini, flags, error, tmp_path, capsys
+    ):
+        # numpy's SeedSequence takes no negative entropy; the override
+        # from --seed is validated as the INI keys are.
+        if ini is None:
+            source = ["--preset", "ci-small-uncoded"]
+        else:
+            config = tmp_path / "seed.ini"
+            config.write_text("[meta]\ncommand = uncoded\n" + ini)
+            source = ["--config", str(config)]
+        assert main(["uncoded", *source, "--quiet", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration:")
+        assert f"  - {error}" in err.splitlines()
+
     def test_main_reports_bad_preset(self, capsys):
         code = main(["ber", "--preset", "nope"])
         assert code == 2

@@ -81,15 +81,20 @@ def per_use_priors(cfg, uses, rng):
     return symbol_priors(np.concatenate(blocks), cfg.field)
 
 
-def take_along_axis_renewal(ens, fresh, cfg, rng):
-    """Renewed rows for the given fresh priors, with np.take_along_axis
-    rotations: draws check inputs, input and output edge coefficients."""
+def draw_checks(L, cfg, rng):
+    """Every new sample's check inputs, input and output edge
+    coefficients, in de_iterate's RNG order."""
+    idx = rng.integers(0, L, size=(L, cfg.d_c - 1))
+    coefs_in = rng.integers(1, cfg.field.size, size=idx.shape)
+    coef_out = rng.integers(1, cfg.field.size, size=L)
+    return idx, coefs_in, coef_out
+
+
+def take_along_axis_renewal(ens, fresh, idx, coefs_in, coef_out, cfg):
+    """Renewed rows for the given fresh priors and check draws, with
+    np.take_along_axis rotations of the probability rows."""
     f = cfg.field
-    L, qsize = ens.shape
-    b = len(fresh)
-    idx = rng.integers(0, L, size=(b, cfg.d_c - 1))
-    coefs_in = rng.integers(1, qsize, size=idx.shape)
-    coef_out = rng.integers(1, qsize, size=b)
+    qsize = ens.shape[1]
     rotated = np.take_along_axis(ens[idx], f.mul_table[f.inv_table[coefs_in]], axis=2)
     conv = fwht(fwht(rotated).prod(axis=1)) / qsize
     c2v = np.take_along_axis(conv, f.mul_table[coef_out], axis=1)
@@ -98,16 +103,11 @@ def take_along_axis_renewal(ens, fresh, cfg, rng):
     return combined / combined.sum(axis=1, keepdims=True)
 
 
-def spectral_renewal(spectra, fresh, cfg, rng):
-    """Renewed rows for the given fresh priors from the ensemble's spectra,
-    with np.take_along_axis permutations: draws check inputs, input and
-    output edge coefficients."""
+def spectral_renewal(spectra, fresh, idx, coefs_in, coef_out, cfg):
+    """Renewed rows for the given fresh priors and check draws from the
+    ensemble's spectra, with np.take_along_axis permutations."""
     f = cfg.field
-    L, qsize = spectra.shape
-    b = len(fresh)
-    idx = rng.integers(0, L, size=(b, cfg.d_c - 1))
-    coefs_in = rng.integers(1, qsize, size=idx.shape)
-    coef_out = rng.integers(1, qsize, size=b)
+    qsize = spectra.shape[1]
     k = f.mul_table[coefs_in, f.inv_table[coef_out][:, None]]
     perm = de._spectrum_permutations(f)
     gathered = np.take_along_axis(spectra[idx], perm[k], axis=2)
@@ -117,20 +117,24 @@ def spectral_renewal(spectra, fresh, cfg, rng):
 
 
 def renew_by_chunks(renewal, ens, cfg, rng):
-    """`renewal` applied chunk by chunk in de_iterate's per-chunk RNG order:
-    fresh priors, then the renewal's own draws."""
+    """`renewal` of a kept copy of the input in de_iterate's RNG order
+    (every check draw, then each chunk's fresh priors), each new sample
+    put in its row of de_iterate's result through the slot plan."""
     L = len(ens)
+    idx, coefs_in, coef_out = draw_checks(L, cfg, rng)
+    slots, _ = de._slot_plan(idx, de.CHUNK)
     out = np.empty((L, ens.shape[1]))
     for lo in range(0, L, de.CHUNK):
         hi = min(lo + de.CHUNK, L)
-        fresh = de._fresh_samples(cfg, hi - lo, rng)
-        out[lo:hi] = renewal(ens, fresh, cfg, rng)
+        fresh = de._fresh_samples(cfg, rng, np.empty((hi - lo, ens.shape[1])))
+        checks = idx[lo:hi], coefs_in[lo:hi], coef_out[lo:hi]
+        out[slots[lo:hi]] = renewal(ens, fresh, *checks, cfg)
     return out
 
 
 def renewal_peak_chunks(cfg):
     """Peak traced allocation of one de_iterate call on a drawn ensemble,
-    less the result, in chunk-sized float64 arrays."""
+    in chunk-sized float64 arrays; the ensemble itself is not traced."""
     ens = de_initial_ensemble(cfg, np.random.default_rng(33))
     rng = np.random.default_rng(34)
     de_iterate(ens[:2048].copy(), cfg, rng)  # first-call set-up outside the trace
@@ -140,7 +144,7 @@ def renewal_peak_chunks(cfg):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return (peak - ens.nbytes) / (de.CHUNK * cfg.field.size * 8)
+    return peak / (de.CHUNK * cfg.field.size * 8)
 
 
 def full_channel_mf_estimates(n_t, n_r, sigma2, uses, rng):
@@ -245,6 +249,20 @@ class TestInitialEnsemble:
             manual.std() / np.sqrt(len(manual)),
         )
         assert abs(ens[:, 0].mean() - manual.mean()) < 4 * se
+
+    def test_draws_one_chunk_at_a_time(self):
+        # With t = 3 copies each chunk draws its 3 CHUNK raw priors and
+        # folds them into its slice of the result: about 5 chunk-sized
+        # float64 arrays above the result, bounded at 8.  Drawing all L t
+        # raw priors first would add 2 L q entries more, 78 chunks here.
+        cfg = small_config(gamma0_db=-5.0, ensemble_size=20_000, repeat_factor=3)
+        tracemalloc.start()
+        try:
+            ens = de_initial_ensemble(cfg, np.random.default_rng(36))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - ens.nbytes) / (de.CHUNK * cfg.field.size * 8) < 8
 
 
 class TestMfSimplifiedSampler:
@@ -392,7 +410,7 @@ class TestLlrPriors:
         # the second copies, and folds each pair.
         cfg = small_config(n_t=200, n_r=200, gamma0_db=gamma_db, repeat_factor=2)
         f, n = cfg.field, 1500
-        got = de._fresh_samples(cfg, n, np.random.default_rng(63))
+        got = de._fresh_samples(cfg, np.random.default_rng(63), np.empty((n, f.size)))
         rng = np.random.default_rng(63)
         raw = mf_soft_symbol_priors(cfg, 2 * n, rng).reshape(n, 2, f.size)
         coefs = np.ones((n, 2), dtype=np.int64)
@@ -411,7 +429,7 @@ class TestLlrPriors:
         cfg = small_config(gamma0_db=-1.0, repeat_factor=t)
         f, n = cfg.field, 1500
         out = np.empty((n, f.size))
-        got = de._fresh_samples(cfg, n, np.random.default_rng(64), out=out)
+        got = de._fresh_samples(cfg, np.random.default_rng(64), out)
         rng = np.random.default_rng(64)
         raw = de._channel_prior_samples(cfg, n * t, rng).reshape(n, t, f.size)
         coefs = np.ones((n, t), dtype=np.int64)
@@ -471,9 +489,11 @@ class TestIterate:
         assert ensemble_entropy(out, cfg.field) > 0.97
 
     def test_flat_gathers_match_take_along_axis(self):
-        # de_iterate written with np.take_along_axis permutations of the
-        # whole ensemble's spectra, in the same per-chunk RNG order (fresh
-        # priors, check inputs, edge coefficients), gives the same bits.
+        # de_iterate written with np.take_along_axis permutations of a kept
+        # copy of the whole ensemble's spectra, in the same RNG order (every
+        # check input and edge coefficient, then each chunk's fresh priors),
+        # gives the same bits in the rows of the slot plan.  A row written
+        # before its last read would change the bits of a later sample.
         cfg = small_config(gamma0_db=1.0, ensemble_size=1500)
         ens = de_initial_ensemble(cfg, np.random.default_rng(25))
         got = de_iterate(ens.copy(), cfg, np.random.default_rng(26))
@@ -496,8 +516,9 @@ class TestIterate:
         assert np.array_equal(got, want)
 
     def test_spectral_renewal_matches_probability_domain_renewal(self):
-        # The same draws renewed by rotating rows in the probability domain
-        # (three transforms per sample) agree to rounding: the largest
+        # The same draws renewed by rotating rows of a kept copy of the
+        # input in the probability domain (three transforms per sample),
+        # put in the rows of the slot plan, agree to rounding: the largest
         # difference measured here is 1.4e-11, in rows where a confident
         # fresh prior meets check outputs near the rounding level.
         cfg = small_config(gamma0_db=1.0, ensemble_size=1500)
@@ -523,11 +544,31 @@ class TestIterate:
         assert np.array_equal(got, want)
         assert np.array_equal(ens, before)
 
-    def test_contiguous_float64_input_is_overwritten_with_its_spectra(self):
+    @pytest.mark.parametrize("d_c", [3, 4])
+    def test_slot_plan_writes_rows_after_their_last_read(self, d_c):
+        # Every input row takes exactly one new sample, a directly written
+        # sample of chunk c only a row that no later chunk reads, and the
+        # overflow holds the peak of x - exp(-(d_c - 1)(1 - x)) rows per L
+        # (0.153 at d_c = 3, 0.301 at d_c = 4) to sampling error.
+        L, chunk = 100_000, 8192
+        idx = np.random.default_rng(37).integers(0, L, size=(L, d_c - 1))
+        slots, direct = de._slot_plan(idx, chunk)
+        assert np.array_equal(np.sort(slots), np.arange(L))
+        last = np.full(L, -1)
+        for i in range(L):
+            last[idx[i]] = i // chunk
+        for c, lo in enumerate(range(0, L, chunk)):
+            assert np.all(last[slots[lo : lo + direct[c]]] <= c)
+        x = np.linspace(0, 1, 100_001)
+        peak = np.max(x - np.exp(-(d_c - 1) * (1 - x)))
+        assert abs((L - direct.sum()) / L - peak) < 0.005
+
+    def test_contiguous_float64_input_is_renewed_in_place(self):
         cfg = small_config(gamma0_db=1.0, ensemble_size=1500)
         ens = de_initial_ensemble(cfg, np.random.default_rng(25))
-        want = fwht(ens)
-        de_iterate(ens, cfg, np.random.default_rng(26))
+        want = renew_by_chunks(spectral_renewal, fwht(ens), cfg, np.random.default_rng(26))
+        got = de_iterate(ens, cfg, np.random.default_rng(26))
+        assert got is ens
         assert np.array_equal(ens, want)
 
     @pytest.mark.parametrize("detector", ["mf-simplified", "mmse"])
@@ -538,17 +579,17 @@ class TestIterate:
         # under both orders; every other row keeps one per use (n_t / m = 2
         # per use), so two-sample KS tests (alpha = 0.001 each) of per-row
         # statistics are exact.
+        # The result's rows are read back in sample order through the slot
+        # plan of its check draws.
         cfg = small_config(gamma0_db=-1.0, ensemble_size=3000, detector=detector)
         ens = de_initial_ensemble(cfg, np.random.default_rng(30))
-        got = de_iterate(ens.copy(), cfg, np.random.default_rng(31))
+        L = len(ens)
+        slots, _ = de._slot_plan(draw_checks(L, cfg, np.random.default_rng(31))[0], de.CHUNK)
+        got = de_iterate(ens.copy(), cfg, np.random.default_rng(31))[slots]
 
         rng = np.random.default_rng(32)
-        L = len(ens)
-        fresh = de._fresh_samples(cfg, L, rng)
-        want = np.empty_like(ens)
-        for lo in range(0, L, de.CHUNK):
-            hi = min(lo + de.CHUNK, L)
-            want[lo:hi] = take_along_axis_renewal(ens, fresh[lo:hi], cfg, rng)
+        fresh = de._fresh_samples(cfg, rng, np.empty_like(ens))
+        want = take_along_axis_renewal(ens, fresh, *draw_checks(L, cfg, rng), cfg)
         for stat in (
             lambda e: e[:, 0],
             lambda e: e.max(axis=1),
@@ -557,24 +598,26 @@ class TestIterate:
             assert stats.ks_2samp(stat(got[::2]), stat(want[::2])).pvalue > 1e-3
 
     def test_holds_no_full_size_fresh_array(self):
-        # Allocations traced while renewing an L = 2e4 ensemble stay below
-        # the result plus a few chunks of work.  The fresh priors go
-        # straight into the result, and the gathers, products and
-        # transforms run through block-sized buffers, so what is left per
-        # chunk is the prior sampler's own work and the draws: about 2.5
-        # chunk-sized float64 arrays at d_c = 3; the bound allows 4.  A
-        # full-L fresh array, or a copy of the input's spectra, would add
-        # L q float64 entries, 41 MB against the 2 MB allowance.
+        # Allocations traced while renewing an L = 2e4 ensemble in place
+        # stay below 0.2 L rows plus a few chunks of work.  The overflow
+        # holds about 0.15 L rows at d_c = 3 (6 chunks here), and the
+        # staging buffer one chunk; the gathers, products and transforms
+        # run through block-sized buffers, so the rest is the prior
+        # sampler's own work, the draws and the slot plan: about 3.5
+        # chunk-sized float64 arrays; the bound allows 4.  An out-of-place
+        # result, a full-L fresh array or a copy of the input's spectra
+        # would add L q float64 entries, 41 MB against the 12 MB allowance.
         cfg = small_config(gamma0_db=0.0, ensemble_size=20_000)
-        assert renewal_peak_chunks(cfg) < 4
+        assert renewal_peak_chunks(cfg) < 0.2 * cfg.ensemble_size / de.CHUNK + 4
 
     def test_holds_no_repetition_sized_gather(self):
         # With t = 3 copies a chunk draws its 3 CHUNK raw priors, and the
-        # copies are folded into the result one at a time: about 7 chunk
-        # sizes above the result, bounded at 10.  A gather of all t copies
-        # at once, with its int64 index, would add 6 more.
+        # copies are folded into the staging buffer one at a time: about 7
+        # chunk sizes above the overflow allowance of 0.2 L rows, bounded
+        # at 10.  A gather of all t copies at once, with its int64 index,
+        # would add 6 more.
         cfg = small_config(gamma0_db=-5.0, ensemble_size=20_000, repeat_factor=3)
-        assert renewal_peak_chunks(cfg) < 10
+        assert renewal_peak_chunks(cfg) < 0.2 * cfg.ensemble_size / de.CHUNK + 10
 
     def test_entropy_drops_well_above_threshold(self):
         cfg = small_config(gamma0_db=4.0, ensemble_size=1024)
